@@ -197,12 +197,12 @@ def bound_at(c: QuadrantCounts, params: BalanceParams) -> int:
     return min(bounds)
 
 
-def _lattice_denominator(step: float) -> int:
+def _lattice_denominator(step: float, name: str = "lattice step") -> int:
     if not 0 < step <= 1:
-        raise InputError(f"lattice step must lie in (0, 1], got {step!r}")
+        raise InputError(f"{name} must lie in (0, 1], got {step!r}")
     n = round(1.0 / step)
     if abs(n * step - 1.0) > 1e-9:
-        raise InputError(f"lattice step {step!r} does not divide 1 evenly")
+        raise InputError(f"{name} {step!r} does not divide 1 evenly")
     return n
 
 

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import inspect
-import math
 from typing import Any
 
 import numpy as np
@@ -102,18 +101,3 @@ def as_label_vector(y: Any, n_rows: int, name: str = "y") -> np.ndarray:
         raise InputError(f"{name} must contain only 0/1 labels")
     return arr
 
-
-def check_unit(value: float, name: str) -> float:
-    """A probability-like scalar: finite and inside [0, 1]."""
-    v = float(value)
-    if math.isnan(v) or not 0.0 <= v <= 1.0:
-        raise InputError(f"{name} must lie in [0, 1], got {value!r}")
-    return v
-
-
-def check_open_unit(value: float, name: str) -> float:
-    """A threshold: finite and strictly inside (0, 1)."""
-    v = float(value)
-    if math.isnan(v) or not 0.0 < v < 1.0:
-        raise InputError(f"{name} must lie strictly inside (0, 1), got {value!r}")
-    return v

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Any, Callable, Protocol
+from typing import Any, Callable
 
 import numpy as np
 
@@ -473,10 +473,6 @@ def build_estimator(
             f"unknown classifier kind {spec.kind!r}; have {classifier_kinds()}"
         )
     return _REGISTRY[spec.kind](dict(spec.params), spec.seed, categorical_blocks)
-
-
-class ScoresEstimator(Protocol):
-    def predict_scores(self, x: np.ndarray) -> np.ndarray: ...
 
 
 @dataclass

@@ -26,6 +26,7 @@ import numpy as np
 
 from .balance import (
     BalanceParams,
+    _lattice_denominator,
     compute_plan,
     materialize_sample,
     max_sample_size,
@@ -57,15 +58,6 @@ Evaluator = Callable[[list[Task]], list["EvaluationPoint"]]
 Sink = Callable[["EvaluationPoint"], None]
 
 
-def _check_step(step: float, name: str) -> int:
-    if not 0.0 < step <= 1.0:
-        raise InputError(f"{name} must lie in (0, 1], got {step}")
-    denom = round(1.0 / step)
-    if abs(denom * step - 1.0) > 1e-9:
-        raise InputError(f"{name} must evenly divide the unit range, got {step}")
-    return denom
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """Knobs of the two-level search."""
@@ -78,8 +70,8 @@ class GridSpec:
     weights: LossWeights = field(default_factory=LossWeights)
 
     def __post_init__(self):
-        coarse = _check_step(self.level0_step, "level0_step")
-        fine = _check_step(self.level1_step, "level1_step")
+        coarse = _lattice_denominator(self.level0_step, "level0_step")
+        fine = _lattice_denominator(self.level1_step, "level1_step")
         if fine % coarse != 0:
             raise InputError("level1_step must subdivide level0_step evenly")
         if self.top_k < 1:
@@ -193,42 +185,64 @@ def point_seed(global_seed: int, alpha_units: int, beta_units: int, gamma_units:
 # evaluation
 
 class _ThresholdSweep:
-    """Best-threshold selection over one evaluation set.
+    """Best-threshold selection over one evaluation set, a chunk at a time.
 
-    The group/label one-hot is built once; per score vector the sweep
-    sorts once and reads suffix counts per threshold, so the confusion
-    numbers are exactly what explicit thresholding would produce. The
-    vectorised MCC/DI/combined arithmetic reproduces the float
-    operations of report_from_counts, so the argmin agrees with a
-    report-by-report comparison.
+    Each call scores the K columns of an (N_eval, K) score matrix, one
+    per task, against the sorted union of the tasks' thresholds. Every
+    score is binned once against that union; a bincount by (task,
+    quadrant category, bin) and a reverse cumulative sum over bins give,
+    for every task and union threshold, the rows of each category with
+    score >= threshold, so the confusion numbers are exactly what
+    explicit thresholding would produce. MCC, DI and the combined loss
+    are computed for the whole (K, union) grid with the float operations
+    of report_from_counts, so the argmin agrees with a report-by-report
+    comparison; thresholds a task did not ask for never win.
     """
 
     def __init__(self, d_eval: Dataset, weights: LossWeights):
         privileged = d_eval.privileged
         actual = d_eval.unfavourable
-        category = privileged.astype(np.int64) * 2 + actual.astype(np.int64)
-        self.one_hot = (category[:, None] == np.arange(4)[None, :]).astype(np.int64)
-        self.totals = self.one_hot.sum(axis=0)
+        self.category = privileged.astype(np.int64) * 2 + actual.astype(np.int64)
+        self.totals = np.bincount(self.category, minlength=4)
         self.weights = weights
 
-    def best(self, scores: np.ndarray, thresholds: tuple[float, ...]):
-        """Returns (threshold, MetricReport) for the winning threshold."""
-        order = np.argsort(scores, kind="stable")
-        ranked = scores[order]
-        # suffix[i, c] = rows of category c with score >= ranked[i]
-        suffix = np.zeros((len(ranked) + 1, 4), dtype=np.int64)
-        suffix[:-1] = self.one_hot[order][::-1].cumsum(axis=0)[::-1]
+    def choose(
+        self, scores: np.ndarray, thresholds: list[tuple[float, ...]]
+    ) -> list[tuple[float, MetricReport]]:
+        """(threshold, MetricReport) per task for its winning threshold.
+
+        Column k of scores belongs to the task whose thresholds are
+        thresholds[k]. The lowest threshold wins ties; a task keeps its
+        first threshold when no threshold has a finite loss or either
+        privilege group is missing from the evaluation set (in which
+        case report_from_counts raises InputError).
+        """
+        k = len(thresholds)
+        union = np.unique(np.concatenate([np.asarray(t, dtype=float) for t in thresholds]))
+        width = len(union) + 1
+        # bin b holds scores in [union[b-1], union[b]): score >= union[u] iff b > u
+        keys = np.searchsorted(union, scores, side="right")
+        # key = (task * 4 + category) * width + bin, built in place
+        keys += self.category[:, None] * width
+        keys += np.arange(k) * (4 * width)
+        counts = np.bincount(keys.ravel(), minlength=k * 4 * width).reshape(k, 4, width)
+        # positive[k, c, u] = rows of category c with score >= union[u]
+        positive = counts[:, :, ::-1].cumsum(axis=2)[:, :, ::-1][:, :, 1:]
+        member = np.zeros((k, len(union)), dtype=bool)
+        first = np.empty(k, dtype=np.int64)
+        for row, ts in enumerate(thresholds):
+            cols = np.searchsorted(union, np.asarray(ts, dtype=float))
+            member[row, cols] = True
+            first[row] = cols[0]
         totals = self.totals
-        idx = np.searchsorted(ranked, np.asarray(thresholds), side="left")
-        positive = suffix[idx]
         tp = positive[:, 1] + positive[:, 3]
         fp = positive[:, 0] + positive[:, 2]
         fn = int(totals[1] + totals[3]) - tp
         tn = int(totals[0] + totals[2]) - fp
         p_total = int(totals[2] + totals[3])
         up_total = int(totals[0] + totals[1])
-        choice = 0
-        if len(thresholds) > 1 and p_total > 0 and up_total > 0:
+        choice = first
+        if p_total > 0 and up_total > 0:
             with np.errstate(divide="ignore", invalid="ignore"):
                 den2 = (tp + fp) * (tp + fn) * (tn + fp) * (tn + fn)
                 mcc = np.where(
@@ -240,19 +254,47 @@ class _ThresholdSweep:
                 combined = self.weights.c_mcc * np.abs(1.0 - mcc) + (
                     self.weights.c_di * np.abs(1.0 - di)
                 )
-            if np.isfinite(combined).any():
-                choice = int(np.nanargmin(np.where(np.isfinite(combined), combined, np.inf)))
-        report = report_from_counts(
-            ConfusionCounts(
-                tp=int(tp[choice]), fp=int(fp[choice]), tn=int(tn[choice]), fn=int(fn[choice])
-            ),
-            p_positive=int(positive[choice, 2] + positive[choice, 3]),
-            p_total=p_total,
-            up_positive=int(positive[choice, 0] + positive[choice, 1]),
-            up_total=up_total,
-            weights=self.weights,
-        )
-        return thresholds[choice], report
+            masked = np.where(member & np.isfinite(combined), combined, np.inf)
+            found = np.isfinite(masked).any(axis=1)
+            choice = np.where(found, masked.argmin(axis=1), first)
+        results = []
+        for row, col in enumerate(choice.tolist()):
+            report = report_from_counts(
+                ConfusionCounts(
+                    tp=int(tp[row, col]),
+                    fp=int(fp[row, col]),
+                    tn=int(tn[row, col]),
+                    fn=int(fn[row, col]),
+                ),
+                p_positive=int(positive[row, 2, col] + positive[row, 3, col]),
+                p_total=p_total,
+                up_positive=int(positive[row, 0, col] + positive[row, 1, col]),
+                up_total=up_total,
+                weights=self.weights,
+            )
+            results.append((float(union[col]), report))
+        return results
+
+    def points(
+        self, tasks: list[Task], scores: np.ndarray, kind: str, size: int
+    ) -> list[EvaluationPoint]:
+        """One EvaluationPoint per task; column k of scores is tasks[k]'s."""
+        chosen = self.choose(scores, [thresholds for _, thresholds, _ in tasks])
+        return [
+            EvaluationPoint(
+                params=params,
+                threshold=threshold,
+                classifier_kind=kind,
+                report=report,
+                size=size,
+                seed=seed,
+            )
+            for (params, _, seed), (threshold, report) in zip(tasks, chosen)
+        ]
+
+
+# tasks per threshold sweep on the per-sample-pipeline logistic route
+_SWEEP_BLOCK = 32
 
 
 def _invalid_point(task: Task, kind: str, size: int, message: str) -> EvaluationPoint:
@@ -295,18 +337,6 @@ def _fast_numeric_logistic(
     train_labels = d_train.unfavourable.astype(float)
     eval_matrix = np.column_stack([d_eval.columns[n] for n in names])
     template = LogisticRegression(**spec.params)
-
-    def finish(task: Task, scores: np.ndarray) -> EvaluationPoint:
-        params, thresholds, seed = task
-        threshold, report = sweep.best(scores, thresholds)
-        return EvaluationPoint(
-            params=params,
-            threshold=threshold,
-            classifier_kind=spec.kind,
-            report=report,
-            size=size,
-            seed=seed,
-        )
 
     def run_chunk(chunk, out):
         slots, metas, xs, ys = [], [], [], []
@@ -354,8 +384,9 @@ def _fast_numeric_logistic(
         w_raw = w / stds
         b_raw = b - np.sum(w * means / stds, axis=1)
         scores = _sigmoid_scores(eval_matrix @ w_raw.T + b_raw)
-        for j, (slot, (task, _, _)) in enumerate(zip(slots, metas)):
-            out[slot] = finish(task, scores[:, j])
+        points = sweep.points([task for task, _, _ in metas], scores, spec.kind, size)
+        for slot, point in zip(slots, points):
+            out[slot] = point
 
     def evaluate(tasks: list[Task]) -> list[EvaluationPoint]:
         out: list[EvaluationPoint] = []
@@ -400,18 +431,6 @@ def make_model_evaluator(
             raise TrainingError("training data contains a single label value")
         return pipeline, x, y
 
-    def finish(task: Task, scores: np.ndarray) -> EvaluationPoint:
-        params, thresholds, seed = task
-        threshold, report = sweep.best(scores, thresholds)
-        return EvaluationPoint(
-            params=params,
-            threshold=threshold,
-            classifier_kind=spec.kind,
-            report=report,
-            size=size,
-            seed=seed,
-        )
-
     def run_logistic_chunk(chunk, out):
         ready = []
         slots = []
@@ -454,10 +473,18 @@ def make_model_evaluator(
                 w.append(wi[0])
                 b.append(bi[0])
         est = LogisticRegression()
-        for slot, (i, (task, pipeline, _, _)) in zip(slots, enumerate(ready)):
-            est.coef_ = np.asarray(w[i])
-            est.intercept_ = float(b[i])
-            out[slot] = finish(task, est.predict_scores(pipeline.transform(d_eval)))
+        # a block of tasks at a time: this route builds its score matrix
+        # only for the sweep, so a chunk-wide one would add to peak memory
+        for start in range(0, len(ready), _SWEEP_BLOCK):
+            block = ready[start : start + _SWEEP_BLOCK]
+            scores = np.empty((len(d_eval), len(block)))
+            for j, (_, pipeline, _, _) in enumerate(block):
+                est.coef_ = np.asarray(w[start + j])
+                est.intercept_ = float(b[start + j])
+                scores[:, j] = est.predict_scores(pipeline.transform(d_eval))
+            points = sweep.points([task for task, _, _, _ in block], scores, spec.kind, size)
+            for slot, point in zip(slots[start:], points):
+                out[slot] = point
 
     def run_generic(task: Task, out):
         try:
@@ -468,7 +495,7 @@ def make_model_evaluator(
             out.append(_invalid_point(task, spec.kind, size, str(exc)))
             return
         scores = np.asarray(estimator.predict_scores(pipeline.transform(d_eval)))
-        out.append(finish(task, scores))
+        out.extend(sweep.points([task], scores[:, None], spec.kind, size))
 
     def evaluate(tasks: list[Task]) -> list[EvaluationPoint]:
         out: list[EvaluationPoint] = []
@@ -632,21 +659,31 @@ def pareto_front(points: Iterable[EvaluationPoint]) -> ParetoFront:
     Strict domination means strictly smaller in both coordinates.
     Points with identical coordinates keep only their first
     representative in deterministic sort order.
+
+    One sort and one sweep (Kung, Luccio & Preparata, JACM 1975): in
+    (mcc_loss, di_loss) order a point is dominated exactly when some
+    point with strictly smaller mcc_loss has smaller di_loss, so a
+    running minimum of di_loss over the finished mcc_loss groups
+    decides every point in O(n log n).
     """
-    candidates = sorted((p for p in points if p.valid), key=EvaluationPoint.sort_key)
+    candidates = sorted(
+        (p for p in points if p.valid),
+        key=lambda p: (p.report.mcc_loss, p.report.di_loss) + p.sort_key(),
+    )
     front: list[EvaluationPoint] = []
-    seen: set[tuple[float, float]] = set()
+    lowest_di = float("inf")  # over points with strictly smaller mcc_loss
+    group_mcc, group_di = None, float("inf")  # current mcc_loss, its lowest di_loss
+    previous_di = None
     for p in candidates:
-        pm, pd = p.report.mcc_loss, p.report.di_loss
-        if (pm, pd) in seen:
-            continue
-        dominated = any(
-            q.report.mcc_loss < pm and q.report.di_loss < pd for q in candidates
-        )
-        if not dominated:
-            seen.add((pm, pd))
+        m, d = p.report.mcc_loss, p.report.di_loss
+        if m != group_mcc:
+            lowest_di = min(lowest_di, group_di)
+            group_mcc, group_di = m, d
+        elif d == previous_di:
+            continue  # repeats the previous point's coordinates
+        previous_di = d
+        if d <= lowest_di:
             front.append(p)
-    front.sort(key=lambda p: (p.report.mcc_loss, p.report.di_loss) + p.sort_key()[2:])
     return ParetoFront(points=tuple(front))
 
 

@@ -25,7 +25,7 @@ from fairsample.dataset import (
     quadrant_counts,
     stratified_split,
 )
-from fairsample.metrics import LossWeights, MetricReport, metric_report
+from fairsample.metrics import GroupedPredictions, LossWeights, MetricReport, metric_report
 from fairsample.search import (
     EvaluationPoint,
     GridSpec,
@@ -579,7 +579,8 @@ def test_model_evaluator_chunk_size_is_only_a_memory_knob(monkeypatch, force_gen
     if force_general:
         monkeypatch.setattr(search_mod, "_numeric_only", lambda d: False)
     spec = ClassifierSpec(kind="logistic", params={})
-    tasks = model_tasks(global_seed=21)
+    # more tasks than one threshold-sweep block of the general route
+    tasks = [t for s in range(21, 31) for t in model_tasks(global_seed=s)]
     baseline = make_model_evaluator(TRAIN, EVAL, spec, WEIGHTS, SIZE)(tasks)
     for chunk in (1, 3):
         other = make_model_evaluator(TRAIN, EVAL, spec, WEIGHTS, SIZE, chunk_size=chunk)(tasks)
@@ -599,6 +600,45 @@ def test_fast_and_general_paths_agree():
     for f, g in zip(fast, general):
         assert f.threshold == g.threshold
         assert f.combined == pytest.approx(g.combined, rel=1e-9)
+
+
+def test_chunk_sweep_matches_explicit_thresholding():
+    # one chunk whose tasks ask for different threshold lists, so the
+    # sweep scores every task against the union of all of them
+    rng = np.random.default_rng(8)
+    n = len(EVAL)
+    on_grid = rng.choice([0.1, 0.2, 0.3, 0.45, 0.5, 0.6, 0.7, 0.9], size=n)
+    columns_and_thresholds = [
+        (on_grid, (0.2, 0.45, 0.6)),  # many scores sit exactly on a threshold
+        (rng.random(n), (0.1, 0.3, 0.5, 0.7, 0.9)),
+        (on_grid[::-1].copy(), (0.5,)),  # one threshold
+        (np.round(rng.random(n), 1), (0.3, 0.4, 0.5, 0.6)),
+        (np.full(n, 0.05), (0.2, 0.6)),  # nobody predicted: MCC and DI undefined
+    ]
+    scores = np.column_stack([c for c, _ in columns_and_thresholds])
+    thresholds = [t for _, t in columns_and_thresholds]
+    sweep = search_mod._ThresholdSweep(EVAL, WEIGHTS)
+    chosen = sweep.choose(scores, thresholds)
+    assert len(chosen) == len(thresholds)
+    for (column, ts), (threshold, report) in zip(columns_and_thresholds, chosen):
+        reports = {
+            t: metric_report(
+                GroupedPredictions(
+                    privileged=EVAL.privileged,
+                    actual=EVAL.unfavourable,
+                    predicted=column >= t,
+                ),
+                WEIGHTS,
+            )
+            for t in ts
+        }
+        valid = [(r.combined_loss, t) for t, r in reports.items() if r.combined_loss is not None]
+        want = min(valid)[1] if valid else ts[0]
+        assert threshold == want
+        assert report.to_dict() == reports[want].to_dict()
+    # the undefined task fell back to its first threshold
+    assert chosen[-1][0] == 0.2
+    assert chosen[-1][1].combined_loss is None
 
 
 def test_model_evaluator_single_label_sample_is_quarantined():
