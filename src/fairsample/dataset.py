@@ -50,6 +50,8 @@ class Schema:
 
     def __post_init__(self):
         names = [f.name for f in self.features]
+        if not names:
+            raise SchemaError("schema needs at least one feature")
         if len(set(names)) != len(names):
             raise SchemaError("duplicate feature names")
         if self.label in names:
@@ -430,6 +432,12 @@ class FeatureBlock:
     categories: tuple[str, ...] | None = None
 
 
+def one_hot(values: np.ndarray, categories: Sequence[str]) -> np.ndarray:
+    """(len(values), len(categories)) matrix of 0/1 floats, one column
+    per category; a value outside categories encodes as an all-zero row."""
+    return (values[:, None] == np.asarray(categories, dtype=object)[None, :]).astype(float)
+
+
 class FeaturePipeline(ParamsMixin):
     """One-hot encoding plus standardisation, fitted on training data.
 
@@ -445,7 +453,6 @@ class FeaturePipeline(ParamsMixin):
         self.blocks_: tuple[FeatureBlock, ...] | None = None
         self.means_: dict[str, float] | None = None
         self.scales_: dict[str, float] | None = None
-        self.width_: int | None = None
 
     def fit(self, d: Dataset) -> "FeaturePipeline":
         means: dict[str, float] = {}
@@ -473,27 +480,30 @@ class FeaturePipeline(ParamsMixin):
         self.blocks_ = tuple(blocks)
         self.means_ = means
         self.scales_ = scales
-        self.width_ = col
         return self
 
-    def transform(self, d: Dataset) -> np.ndarray:
+    def encode(self, d: Dataset) -> np.ndarray:
+        """Unscaled feature matrix: numeric columns as they are, each
+        categorical feature as its fitted one-hot block."""
         check_fitted(self, "blocks_")
         if d.schema.features != self.features_:
             raise SchemaError("dataset features do not match the fitted pipeline")
-        n = len(d)
-        out = np.zeros((n, self.width_), dtype=float)
+        return np.column_stack(
+            [
+                d.columns[b.name]
+                if b.kind == "numeric"
+                else one_hot(d.columns[b.name], b.categories)
+                for b in self.blocks_
+            ]
+        )
+
+    def transform(self, d: Dataset) -> np.ndarray:
+        out = self.encode(d)
         for block in self.blocks_:
-            values = d.columns[block.name]
             if block.kind == "numeric":
-                out[:, block.start] = (values - self.means_[block.name]) / self.scales_[
-                    block.name
-                ]
-            else:
-                index = {cat: i for i, cat in enumerate(block.categories)}
-                for i in range(n):
-                    j = index.get(values[i])
-                    if j is not None:
-                        out[i, block.start + j] = 1.0
+                out[:, block.start] = (
+                    out[:, block.start] - self.means_[block.name]
+                ) / self.scales_[block.name]
         return out
 
     def fit_transform(self, d: Dataset) -> np.ndarray:

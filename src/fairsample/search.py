@@ -9,8 +9,10 @@ draws its sample at one common size, the largest size feasible across
 the whole fine lattice, so sample size never varies between points.
 
 Evaluation is pluggable: the default evaluator samples, trains and
-scores real models (batching logistic fits through one vectorised
-kernel), while tests inject analytic stubs through the same seam.
+scores real models, while tests inject analytic stubs through the same
+seam. Logistic fits, on numeric and categorical features alike, go
+through one vectorised kernel a chunk of tasks at a time, with the
+one-hot categories fixed on the training split.
 All ordering is deterministic; per-point seeds hash the global seed
 with the fine-lattice indices, so a point revisited at level 1 reuses
 exactly the sample it had at level 0.
@@ -293,7 +295,8 @@ class _ThresholdSweep:
         ]
 
 
-# tasks per threshold sweep on the per-sample-pipeline logistic route
+# tasks scored and swept together: a chunk-wide (N_eval, chunk) score
+# matrix would add to the chunk's peak memory for no change in results
 _SWEEP_BLOCK = 32
 
 
@@ -310,11 +313,7 @@ def _invalid_point(task: Task, kind: str, size: int, message: str) -> Evaluation
     )
 
 
-def _numeric_only(d: Dataset) -> bool:
-    return all(f.kind == "numeric" for f in d.schema.features)
-
-
-def _fast_numeric_logistic(
+def _batched_logistic(
     d_train: Dataset,
     d_eval: Dataset,
     spec: ClassifierSpec,
@@ -322,24 +321,32 @@ def _fast_numeric_logistic(
     chunk_size: int,
     sweep: "_ThresholdSweep",
 ) -> Evaluator:
-    """Logistic evaluation specialised to all-numeric schemas.
+    """Logistic evaluation through one batched fit per chunk.
 
-    Row gathering, standardisation and evaluation scoring all work on
-    two raw matrices built once; per-task standardisation is folded
-    into the fitted weights as an affine change of basis, so one
-    matrix product scores a whole chunk against the evaluation set.
-    Same sample rows, same estimator, same threshold rule as the
-    general path; only the order of float operations differs.
+    One-hot categories are fixed once on the training split, so two raw
+    matrices built once serve every task. A category a sample lacks is
+    an all-zero column whose weight stays exactly 0 (its gradient and L2
+    term are 0), so the fit matches one on the sample's own one-hot
+    encoding. Numeric columns are standardised per sample and one-hot
+    columns stay 0/1, as in FeaturePipeline; the standardisation is
+    folded into the weights as an affine change of basis, so one matrix
+    product scores a block of tasks. Only the order of float operations
+    differs from fitting each sample through FeaturePipeline.
     """
     counts = quadrant_counts(d_train)
-    names = [f.name for f in d_train.schema.features]
-    train_matrix = np.column_stack([d_train.columns[n] for n in names])
+    pipeline = FeaturePipeline().fit(d_train)
+    train_matrix = pipeline.encode(d_train)
+    eval_matrix = pipeline.encode(d_eval)
+    one_hot_columns = np.zeros(train_matrix.shape[1], dtype=bool)
+    for start, stop in pipeline.categorical_blocks():
+        one_hot_columns[start:stop] = True
     train_labels = d_train.unfavourable.astype(float)
-    eval_matrix = np.column_stack([d_eval.columns[n] for n in names])
     template = LogisticRegression(**spec.params)
 
     def run_chunk(chunk, out):
-        slots, metas, xs, ys = [], [], [], []
+        xs = np.empty((len(chunk), size, train_matrix.shape[1]))
+        ys = np.empty((len(chunk), size))
+        slots, metas = [], []
         for task in chunk:
             params, thresholds, seed = task
             try:
@@ -364,29 +371,35 @@ def _fast_numeric_logistic(
             mean = x_raw.mean(axis=0)
             std = x_raw.std(axis=0)
             std[std == 0.0] = 1.0
+            mean[one_hot_columns] = 0.0
+            std[one_hot_columns] = 1.0
+            xs[len(metas)] = (x_raw - mean) / std
+            ys[len(metas)] = y
             slots.append(len(out))
             out.append(None)  # backfilled below
             metas.append((task, mean, std))
-            xs.append((x_raw - mean) / std)
-            ys.append(y)
         if not metas:
             return
+        fitted = len(metas)
         w, b, _ = fit_logistic_batch(
-            np.stack(xs),
-            np.stack(ys),
+            xs[:fitted],
+            ys[:fitted],
             template.learning_rate,
             template.l2,
             template.max_iter,
             template.tol,
         )
+        del xs, ys  # freed before scoring, so the two never add up in peak memory
         means = np.stack([m for _, m, _ in metas])
         stds = np.stack([s for _, _, s in metas])
         w_raw = w / stds
         b_raw = b - np.sum(w * means / stds, axis=1)
-        scores = _sigmoid_scores(eval_matrix @ w_raw.T + b_raw)
-        points = sweep.points([task for task, _, _ in metas], scores, spec.kind, size)
-        for slot, point in zip(slots, points):
-            out[slot] = point
+        for start in range(0, fitted, _SWEEP_BLOCK):
+            block = slice(start, start + _SWEEP_BLOCK)
+            scores = _sigmoid_scores(eval_matrix @ w_raw[block].T + b_raw[block])
+            points = sweep.points([t for t, _, _ in metas[block]], scores, spec.kind, size)
+            for slot, point in zip(slots[block], points):
+                out[slot] = point
 
     def evaluate(tasks: list[Task]) -> list[EvaluationPoint]:
         out: list[EvaluationPoint] = []
@@ -407,104 +420,39 @@ def make_model_evaluator(
 ) -> Evaluator:
     """The real evaluator: sample, train, score, pick the threshold.
 
-    Logistic specs run through the batched descent kernel in fixed
-    chunks; every other kind trains per task. Chunking is a memory
-    knob only, results do not depend on it.
+    Logistic specs, numeric or categorical, run through the batched
+    descent kernel in fixed chunks (see _batched_logistic); every other
+    kind draws its sample, fits a FeaturePipeline and trains per task.
+    Chunking is a memory knob only, results do not depend on it.
     """
     if size < 1:
         raise InputError(f"sample size must be positive, got {size}")
     if chunk_size < 1:
         raise InputError(f"chunk_size must be positive, got {chunk_size}")
-    counts = quadrant_counts(d_train)
     sweep = _ThresholdSweep(d_eval, weights)
-    if spec.kind == "logistic" and _numeric_only(d_train):
-        return _fast_numeric_logistic(d_train, d_eval, spec, size, chunk_size, sweep)
-
-    def prepare(task: Task):
-        params, thresholds, seed = task
-        plan = compute_plan(counts, params)
-        sample = materialize_sample(d_train, plan, size, seed)
-        pipeline = FeaturePipeline().fit(sample)
-        x = pipeline.transform(sample)
-        y = sample.unfavourable.astype(float)
-        if not (np.any(y == 1.0) and np.any(y == 0.0)):
-            raise TrainingError("training data contains a single label value")
-        return pipeline, x, y
-
-    def run_logistic_chunk(chunk, out):
-        ready = []
-        slots = []
-        for task in chunk:
-            try:
-                pipeline, x, y = prepare(task)
-            except (InfeasibleError, TrainingError) as exc:
-                out.append(_invalid_point(task, spec.kind, size, str(exc)))
-                continue
-            slots.append(len(out))
-            out.append(None)  # backfilled after the batched fit
-            ready.append((task, pipeline, x, y))
-        if not ready:
-            return
-        template = LogisticRegression(**spec.params)
-        widths = {x.shape[1] for _, _, x, _ in ready}
-        if len(widths) == 1:
-            stacked_x = np.stack([x for _, _, x, _ in ready])
-            stacked_y = np.stack([y for _, _, _, y in ready])
-            w, b, _ = fit_logistic_batch(
-                stacked_x,
-                stacked_y,
-                template.learning_rate,
-                template.l2,
-                template.max_iter,
-                template.tol,
-            )
-        else:
-            # mixed one-hot widths: fit one problem at a time instead
-            w, b = [], []
-            for _, _, x, y in ready:
-                wi, bi, _ = fit_logistic_batch(
-                    x[None],
-                    y[None],
-                    template.learning_rate,
-                    template.l2,
-                    template.max_iter,
-                    template.tol,
-                )
-                w.append(wi[0])
-                b.append(bi[0])
-        est = LogisticRegression()
-        # a block of tasks at a time: this route builds its score matrix
-        # only for the sweep, so a chunk-wide one would add to peak memory
-        for start in range(0, len(ready), _SWEEP_BLOCK):
-            block = ready[start : start + _SWEEP_BLOCK]
-            scores = np.empty((len(d_eval), len(block)))
-            for j, (_, pipeline, _, _) in enumerate(block):
-                est.coef_ = np.asarray(w[start + j])
-                est.intercept_ = float(b[start + j])
-                scores[:, j] = est.predict_scores(pipeline.transform(d_eval))
-            points = sweep.points([task for task, _, _, _ in block], scores, spec.kind, size)
-            for slot, point in zip(slots[start:], points):
-                out[slot] = point
-
-    def run_generic(task: Task, out):
-        try:
-            pipeline, x, y = prepare(task)
-            estimator = build_estimator(spec, pipeline.categorical_blocks())
-            estimator.fit(x, y)
-        except (InfeasibleError, TrainingError) as exc:
-            out.append(_invalid_point(task, spec.kind, size, str(exc)))
-            return
-        scores = np.asarray(estimator.predict_scores(pipeline.transform(d_eval)))
-        out.extend(sweep.points([task], scores[:, None], spec.kind, size))
+    if spec.kind == "logistic":
+        return _batched_logistic(d_train, d_eval, spec, size, chunk_size, sweep)
+    counts = quadrant_counts(d_train)
 
     def evaluate(tasks: list[Task]) -> list[EvaluationPoint]:
         out: list[EvaluationPoint] = []
-        if spec.kind == "logistic":
-            for start in range(0, len(tasks), chunk_size):
-                run_logistic_chunk(tasks[start : start + chunk_size], out)
-        else:
-            for task in tasks:
-                run_generic(task, out)
+        for task in tasks:
+            params, _, seed = task
+            try:
+                plan = compute_plan(counts, params)
+                sample = materialize_sample(d_train, plan, size, seed)
+                pipeline = FeaturePipeline().fit(sample)
+                x = pipeline.transform(sample)
+                y = sample.unfavourable.astype(float)
+                if not (np.any(y == 1.0) and np.any(y == 0.0)):
+                    raise TrainingError("training data contains a single label value")
+                estimator = build_estimator(spec, pipeline.categorical_blocks())
+                estimator.fit(x, y)
+            except (InfeasibleError, TrainingError) as exc:
+                out.append(_invalid_point(task, spec.kind, size, str(exc)))
+                continue
+            scores = np.asarray(estimator.predict_scores(pipeline.transform(d_eval)))
+            out.extend(sweep.points([task], scores[:, None], spec.kind, size))
         return out
 
     return evaluate

@@ -74,6 +74,11 @@ REFERENCE_PARAMS = BalanceParams(0.5, 0.8, 0.4)
 VERDICTS: list[tuple[int, str, str]] = []
 
 
+def read_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 def criterion(number, label):
     """Record and print one PASS/FAIL line per criterion."""
 
@@ -404,7 +409,7 @@ def test_balancing_moves_di_toward_parity(tmp_path):
         )
         result = runner.invoke(main, ["search", "--config", str(cfg), "--seed", str(seed)])
         assert result.exit_code == 0, result.output
-        [row] = list(csv.DictReader(open(out / "optimal.csv")))
+        [row] = read_rows(out / "optimal.csv")
         if 0.8 <= float(row["di_ratio"]) <= 1.2 and float(row["mcc"]) > 0.0:
             search_wins += 1
     assert search_wins >= 8
@@ -476,19 +481,15 @@ def test_degenerate_model_quarantined(tmp_path):
     assert result.exit_code == 0, result.output
     assert "no valid evaluation point" in result.stderr
 
-    rows = {row["classifier"]: row for row in csv.DictReader(open(out / "optimal.csv"))}
+    rows = {row["classifier"]: row for row in read_rows(out / "optimal.csv")}
     quarantined = rows["never_unfavourable_acceptance"]
     assert quarantined["mcc"] == "NaN"
     assert quarantined["di_ratio"] == "NaN"
     assert rows["logistic"]["mcc"] != "NaN"
 
-    front_rows = list(
-        csv.DictReader(open(out / "pareto_level1_never_unfavourable_acceptance.csv"))
-    )
+    front_rows = read_rows(out / "pareto_level1_never_unfavourable_acceptance.csv")
     assert front_rows == []
-    points = [
-        json.loads(line)
-        for line in open(out / "points_never_unfavourable_acceptance.jsonl")
-    ]
+    stream = out / "points_never_unfavourable_acceptance.jsonl"
+    points = [json.loads(line) for line in stream.read_text().splitlines()]
     assert points and all(not p["valid"] for p in points)
     assert all(p["metrics"]["mcc"] is None for p in points)

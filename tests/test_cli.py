@@ -16,10 +16,15 @@ from click.testing import CliRunner
 
 from fairsample.balance import BalanceParams, compute_plan
 from fairsample.classifiers import register_kind
-from fairsample.cli import load_config, main
+from fairsample.cli import TABLE_COLUMNS, load_config, main
 from fairsample.dataset import (
     QuadrantCounts,
     SYNTHETIC_SCHEMA,
+    Dataset,
+    FeatureSpec,
+    Schema,
+    SyntheticSpec,
+    generate_synthetic,
     load_csv,
     quadrant_counts,
     stratified_split,
@@ -27,6 +32,11 @@ from fairsample.dataset import (
 )
 
 runner = CliRunner()
+
+
+def read_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 def write_config(path, body):
@@ -117,6 +127,27 @@ def test_config_rejections(tmp_path):
         main, ["baseline", "--config", write_config(tmp_path / "notyaml.yaml", "a: [unclosed\n")]
     )
     assert result.exit_code == 2
+
+
+def test_schema_without_features_is_a_config_error(tmp_path):
+    cfg = write_config(
+        tmp_path / "featureless.yaml",
+        f"""\
+        dataset: {{csv: {tmp_path / "d.csv"}}}
+        schema:
+          features: []
+          label: y
+          favourable: "0"
+          unfavourable: "1"
+          sensitive: age
+          privileged_min: 50
+        out: {tmp_path / "featureless_out"}
+        """,
+    )
+    for command in ("search", "baseline"):
+        result = runner.invoke(main, [command, "--config", cfg])
+        assert result.exit_code == 2, (command, result.output)
+        assert "at least one feature" in result.output
 
 
 def test_flags_override_config(tmp_path):
@@ -297,7 +328,7 @@ def test_baseline_renders_undefined_cells_as_nan(tmp_path):
     )
     result = runner.invoke(main, ["baseline", "--config", cfg])
     assert result.exit_code == 0, result.output
-    rows = {r["classifier"]: r for r in csv.DictReader(open(out / "baseline.csv"))}
+    rows = {r["classifier"]: r for r in read_rows(out / "baseline.csv")}
     assert set(rows) == {"logistic", "always_favourable_for_cli_tests"}
     degenerate = rows["always_favourable_for_cli_tests"]
     assert degenerate["mcc"] == "NaN"
@@ -322,7 +353,7 @@ def test_baseline_cells_round_trip_at_printed_precision(tmp_path):
     train, held_out, _ = stratified_split(_load_dataset(cfg), cfg.fractions, cfg.split_seed)
     model = fit(ClassifierSpec(kind="logistic", params={}, seed=cfg.seed), train)
     report = metric_report(predict_labels(model, held_out, 0.5), LossWeights())
-    [row] = list(csv.DictReader(open(out / "baseline.csv")))
+    [row] = read_rows(out / "baseline.csv")
     values = report.to_dict()
     for column in TABLE_COLUMNS:
         assert row[column] == render(values[column], PLACES[column])
@@ -333,7 +364,7 @@ def test_setups_table_shape_and_direction(tmp_path):
     cfg = small_synthetic_config(tmp_path, out=out)
     result = runner.invoke(main, ["setups", "--config", cfg])
     assert result.exit_code == 0, result.output
-    rows = list(csv.DictReader(open(out / "setups.csv")))
+    rows = read_rows(out / "setups.csv")
     assert [r["setup"] for r in rows] == [
         "double-balanced",
         "unfavourable-balanced",
@@ -376,12 +407,14 @@ def test_search_outputs(search_run):
     ):
         assert (out / name).exists(), name
 
-    points = [json.loads(line) for line in open(out / "points_logistic.jsonl")]
+    points = [
+        json.loads(line) for line in (out / "points_logistic.jsonl").read_text().splitlines()
+    ]
     # coarse lattice once, then at least the winners' boxes again
     assert len(points) > 27
     assert {"alpha", "beta", "gamma", "threshold", "valid", "metrics"} <= set(points[0])
 
-    rows = {r["classifier"]: r for r in csv.DictReader(open(out / "optimal.csv"))}
+    rows = {r["classifier"]: r for r in read_rows(out / "optimal.csv")}
     assert set(rows) == {"logistic", "naive_bayes"}
     for row in rows.values():
         assert row["note"] == ""
@@ -389,7 +422,7 @@ def test_search_outputs(search_run):
         assert 0.0 < float(row["threshold"]) < 1.0
         assert row["combined_loss"] != "NaN"
 
-    front = list(csv.DictReader(open(out / "pareto_level1_logistic.csv")))
+    front = read_rows(out / "pareto_level1_logistic.csv")
     assert front
     losses = [(float(r["mcc_loss"]), float(r["di_loss"])) for r in front]
     assert losses == sorted(losses)
@@ -422,13 +455,90 @@ def test_report_on_own_eval_split_reproduces_optimal_rows(search_run, tmp_path):
         ["report", "--config", cfg_path, "--out", str(out), "--test", str(eval1_csv)],
     )
     assert result.exit_code == 0, result.output
-    optimal = {r["classifier"]: r for r in csv.DictReader(open(out / "optimal.csv"))}
-    report = {r["classifier"]: r for r in csv.DictReader(open(out / "report.csv"))}
+    optimal = {r["classifier"]: r for r in read_rows(out / "optimal.csv")}
+    report = {r["classifier"]: r for r in read_rows(out / "report.csv")}
     assert set(report) == set(optimal)
     for label in optimal:
         for column in ("accuracy", "precision", "recall", "f1", "mcc", "di_ratio", "combined_loss"):
             assert report[label][column] == optimal[label][column], (label, column)
         assert report[label]["threshold"] == optimal[label]["threshold"]
+
+
+def write_categorical_config(tmp_path, out):
+    # synthetic data plus a label-leaning categorical column whose value
+    # "c" sits on one record only, so most samples miss it
+    d = generate_synthetic(SyntheticSpec(quadrants=(520, 60, 130, 40)), seed=3)
+    rng = np.random.default_rng(0)
+    lean = np.where(d.unfavourable, 0.7, 0.3)
+    region = np.where(rng.random(len(d)) < lean, "a", "b").astype(object)
+    region[d.quadrant_indices()["up_uf"][0]] = "c"
+    schema = Schema(
+        features=SYNTHETIC_SCHEMA.features + (FeatureSpec("region", "categorical"),),
+        label="y",
+        favourable="0",
+        unfavourable="1",
+        sensitive="group",
+        privileged_value="p",
+    )
+    path = tmp_path / "regions.csv"
+    write_csv(
+        Dataset(
+            schema=schema,
+            columns={**d.columns, "region": region},
+            unfavourable=d.unfavourable,
+            privileged=d.privileged,
+            row_ids=d.row_ids,
+        ),
+        str(path),
+    )
+    features = ", ".join(f"{{name: {f.name}, kind: {f.kind}}}" for f in schema.features)
+    return write_config(
+        tmp_path / "regions.yaml",
+        f"""\
+        dataset: {{csv: {path}}}
+        schema:
+          features: [{features}]
+          label: y
+          favourable: "0"
+          unfavourable: "1"
+          sensitive: group
+          privileged_value: p
+        split: {{fractions: [0.6, 0.2, 0.2], seed: 3}}
+        grid:
+          level0_step: 0.5
+          level1_step: 0.25
+          top_k: 2
+          neighborhood: 0.25
+          thresholds: [0.25, 0.5, 0.75]
+        classifiers:
+          - {{kind: logistic}}
+        out: {out}
+        seed: 11
+        """,
+    )
+
+
+def test_report_reproduces_search_on_categorical_features(tmp_path):
+    # search fits logistic models on one-hot columns fixed on the whole
+    # training split; report refits the chosen sample on its own one-hot
+    # columns, and must land on the same model
+    out = tmp_path / "regions_out"
+    cfg_path = write_categorical_config(tmp_path, out)
+    result = runner.invoke(main, ["search", "--config", cfg_path])
+    assert result.exit_code == 0, result.output
+    cfg = load_config(cfg_path)
+    from fairsample.cli import _load_dataset
+
+    parts = stratified_split(_load_dataset(cfg), cfg.fractions, cfg.split_seed)
+    eval1_csv = tmp_path / "eval1.csv"
+    write_csv(parts[2], str(eval1_csv))
+    result = runner.invoke(main, ["report", "--config", cfg_path, "--test", str(eval1_csv)])
+    assert result.exit_code == 0, result.output
+    [optimal] = read_rows(out / "optimal.csv")
+    [report] = read_rows(out / "report.csv")
+    assert optimal["combined_loss"] != "NaN"
+    for column in ("alpha", "beta", "gamma", "threshold", *TABLE_COLUMNS):
+        assert report[column] == optimal[column], column
 
 
 def test_report_missing_results_is_an_input_error(tmp_path):
@@ -474,14 +584,15 @@ def test_search_with_only_degenerate_classifier_warns_and_fails(tmp_path):
     # completes (tables on disk), then reports the empty outcome
     assert result.exit_code == 3
     assert "warning: no valid evaluation point" in result.stderr
-    [row] = list(csv.DictReader(open(out / "optimal.csv")))
+    [row] = read_rows(out / "optimal.csv")
     assert row["combined_loss"] == "NaN"
     assert row["note"] == "no valid points"
-    points = [json.loads(line) for line in open(out / "points_always_favourable_for_cli_tests.jsonl")]
+    stream = out / "points_always_favourable_for_cli_tests.jsonl"
+    points = [json.loads(line) for line in stream.read_text().splitlines()]
     assert points
     assert all(not p["valid"] for p in points)
     assert all(p["metrics"]["mcc"] is None for p in points)
-    front = list(csv.DictReader(open(out / "pareto_level1_always_favourable_for_cli_tests.csv")))
+    front = read_rows(out / "pareto_level1_always_favourable_for_cli_tests.csv")
     assert front == []  # quarantined from the front
 
 

@@ -17,6 +17,7 @@ from fairsample.dataset import (
     SyntheticSpec,
     generate_synthetic,
     load_csv,
+    one_hot,
     quadrant_counts,
     stratified_split,
     write_csv,
@@ -126,22 +127,31 @@ def test_schema_validation():
             sensitive="s",
             privileged_value="a",
         )
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError, match="differ"):
         Schema(
-            features=(),
+            features=(FeatureSpec("x", "numeric"),),
             label="y",
             favourable="1",
             unfavourable="1",
             sensitive="s",
             privileged_value="a",
         )
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError, match="exactly one"):
+        Schema(
+            features=(FeatureSpec("x", "numeric"),),
+            label="y",
+            favourable="0",
+            unfavourable="1",
+            sensitive="s",
+        )
+    with pytest.raises(SchemaError, match="at least one feature"):
         Schema(
             features=(),
             label="y",
             favourable="0",
             unfavourable="1",
             sensitive="s",
+            privileged_value="a",
         )
     with pytest.raises(SchemaError):
         FeatureSpec("x", "ordinal")
@@ -280,6 +290,17 @@ def test_pipeline_one_hot_and_unseen_category(tmp_path):
     new = load_csv(str(path2), schema)
     X2 = pipe.transform(new)
     assert X2[0, 1:].tolist() == [0.0, 0.0]  # unseen category encodes as zeros
+
+
+def test_one_hot_matches_a_row_loop():
+    values = np.array(["b", "a", "zz", "c", "a", "b"], dtype=object)
+    categories = ("a", "b", "c")
+    want = np.zeros((len(values), len(categories)))
+    for i, value in enumerate(values):
+        if value in categories:
+            want[i, categories.index(value)] = 1.0
+    assert one_hot(values, categories).tolist() == want.tolist()
+    assert one_hot(values[:0], categories).shape == (0, 3)
 
 
 def test_pipeline_constant_column_scale_one(tmp_path):

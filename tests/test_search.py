@@ -14,8 +14,15 @@ import pytest
 import fairsample.search as search_mod
 from fairsample.balance import BalanceParams, compute_plan, materialize_sample
 from fairsample.base import InfeasibleError, InputError, SearchError
-from fairsample.classifiers import ClassifierSpec, fit as fit_model, predict_labels
+from fairsample.classifiers import (
+    ClassifierSpec,
+    fit as fit_model,
+    fit_logistic_batch,
+    predict_labels,
+)
 from fairsample.dataset import (
+    SYNTHETIC_SCHEMA,
+    Dataset,
     FeaturePipeline,
     FeatureSpec,
     Schema,
@@ -539,12 +546,55 @@ def reference_point(d_train, d_eval, spec, task, size):
     return best[1], best[2]
 
 
-@pytest.mark.parametrize("force_general", [False, True])
-def test_model_evaluator_matches_reference(monkeypatch, force_general):
-    if force_general:
-        monkeypatch.setattr(search_mod, "_numeric_only", lambda d: False)
+REGION_SCHEMA = Schema(
+    features=SYNTHETIC_SCHEMA.features + (FeatureSpec("region", "categorical"),),
+    label="y",
+    favourable="0",
+    unfavourable="1",
+    sensitive="group",
+    privileged_value="p",
+)
+
+
+def with_region(d, seed, odd_row, odd_value):
+    """d plus a label-leaning categorical feature; one row carries a
+    value no other row of d has."""
+    rng = np.random.default_rng(seed)
+    lean = np.where(d.unfavourable, 0.7, 0.3)
+    region = np.where(rng.random(len(d)) < lean, "a", "b").astype(object)
+    region[odd_row] = odd_value
+    return Dataset(
+        schema=REGION_SCHEMA,
+        columns={**d.columns, "region": region},
+        unfavourable=d.unfavourable,
+        privileged=d.privileged,
+        row_ids=d.row_ids,
+    )
+
+
+# "c" sits on one row of the smallest training quadrant, so some samples
+# draw it and others miss it; "z" is an evaluation value training never saw
+CAT_TRAIN = with_region(TRAIN, 5, TRAIN.quadrant_indices()["up_uf"][0], "c")
+CAT_EVAL = with_region(EVAL, 6, 0, "z")
+CORPORA = {"numeric": (TRAIN, EVAL), "categorical": (CAT_TRAIN, CAT_EVAL)}
+
+
+def test_categorical_corpus_samples_miss_and_catch_the_rare_value():
+    counts = quadrant_counts(CAT_TRAIN)
+    caught = {
+        "c" in materialize_sample(CAT_TRAIN, compute_plan(counts, params), SIZE, seed)
+        .columns["region"]
+        .tolist()
+        for params, _, seed in model_tasks()
+    }
+    assert caught == {True, False}
+
+
+@pytest.mark.parametrize("corpus", sorted(CORPORA))
+def test_model_evaluator_matches_reference(corpus):
+    d_train, d_eval = CORPORA[corpus]
     spec = ClassifierSpec(kind="logistic", params={})
-    evaluate = make_model_evaluator(TRAIN, EVAL, spec, WEIGHTS, SIZE)
+    evaluate = make_model_evaluator(d_train, d_eval, spec, WEIGHTS, SIZE)
     tasks = model_tasks()
     points = evaluate(tasks)
     assert len(points) == len(tasks)
@@ -552,7 +602,7 @@ def test_model_evaluator_matches_reference(monkeypatch, force_general):
         assert point.valid
         assert point.seed == task[2]
         assert point.size == SIZE
-        threshold, report = reference_point(TRAIN, EVAL, spec, task, SIZE)
+        threshold, report = reference_point(d_train, d_eval, spec, task, SIZE)
         assert point.threshold == threshold
         got, want = point.report.to_dict(), report.to_dict()
         assert got.keys() == want.keys()
@@ -574,32 +624,42 @@ def test_model_evaluator_generic_kind_matches_reference():
         assert point.classifier_kind == "naive_bayes"
 
 
-@pytest.mark.parametrize("force_general", [False, True])
-def test_model_evaluator_chunk_size_is_only_a_memory_knob(monkeypatch, force_general):
-    if force_general:
-        monkeypatch.setattr(search_mod, "_numeric_only", lambda d: False)
+@pytest.mark.parametrize("corpus", sorted(CORPORA))
+def test_model_evaluator_chunk_size_is_only_a_memory_knob(corpus):
+    d_train, d_eval = CORPORA[corpus]
     spec = ClassifierSpec(kind="logistic", params={})
-    # more tasks than one threshold-sweep block of the general route
+    # more tasks than one scoring block, so the default chunk crosses a
+    # block boundary
     tasks = [t for s in range(21, 31) for t in model_tasks(global_seed=s)]
-    baseline = make_model_evaluator(TRAIN, EVAL, spec, WEIGHTS, SIZE)(tasks)
+    assert len(tasks) > search_mod._SWEEP_BLOCK
+    baseline = make_model_evaluator(d_train, d_eval, spec, WEIGHTS, SIZE)(tasks)
     for chunk in (1, 3):
-        other = make_model_evaluator(TRAIN, EVAL, spec, WEIGHTS, SIZE, chunk_size=chunk)(tasks)
+        other = make_model_evaluator(
+            d_train, d_eval, spec, WEIGHTS, SIZE, chunk_size=chunk
+        )(tasks)
         assert [p.to_dict() for p in other] == [p.to_dict() for p in baseline]
 
 
-def test_fast_and_general_paths_agree():
-    spec = ClassifierSpec(kind="logistic", params={})
-    tasks = model_tasks(global_seed=31)
-    fast = make_model_evaluator(TRAIN, EVAL, spec, WEIGHTS, SIZE)(tasks)
-    orig = search_mod._numeric_only
-    search_mod._numeric_only = lambda d: False
-    try:
-        general = make_model_evaluator(TRAIN, EVAL, spec, WEIGHTS, SIZE)(tasks)
-    finally:
-        search_mod._numeric_only = orig
-    for f, g in zip(fast, general):
-        assert f.threshold == g.threshold
-        assert f.combined == pytest.approx(g.combined, rel=1e-9)
+def test_all_zero_columns_keep_zero_weight_in_the_batched_fit():
+    # the batched route fits every sample on the training split's one-hot
+    # columns; a category a sample lacks is an all-zero column, which
+    # must leave the rest of the fit as it is without that column
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(3, 60, 4))
+    y = (x[:, :, 0] + 0.5 * rng.normal(size=(3, 60)) > 0).astype(float)
+    wide = np.zeros((3, 60, 6))
+    kept = [0, 2, 3, 5]
+    wide[:, :, kept] = x
+    # strong enough regularisation that every problem converges, each at
+    # its own iteration, so freezing finished problems is exercised too
+    settings = dict(learning_rate=1.0, l2=0.01, max_iter=3000, tol=1e-6)
+    w, b, its = fit_logistic_batch(x, y, **settings)
+    w_wide, b_wide, its_wide = fit_logistic_batch(wide, y, **settings)
+    assert (its < 3000).all() and len(set(its.tolist())) == 3
+    assert its_wide.tolist() == its.tolist()
+    assert (w_wide[:, [1, 4]] == 0.0).all()
+    assert w_wide[:, kept] == pytest.approx(w, rel=1e-12)
+    assert b_wide == pytest.approx(b, rel=1e-12)
 
 
 def test_chunk_sweep_matches_explicit_thresholding():
