@@ -310,110 +310,100 @@ class GaussianNaiveBayes(ParamsMixin):
 # ---------------------------------------------------------------------------
 # random forest
 
-@dataclass
-class _TreeNode:
-    feature: int = -1
-    threshold: float = 0.0
-    left: "_TreeNode | None" = None
-    right: "_TreeNode | None" = None
-    label: float = 0.0
+def _best_split(x, y, features):
+    """(feature, cut) of the first lowest weighted Gini split, or None.
+
+    Cumulative label counts over each sorted column score every boundary
+    at once (CART; Louppe, arXiv:1407.7502, ch. 5) as len/n * 2p(1 - p),
+    left plus right, with p = ones/len; equal neighbours never split."""
+    n = len(y)
+    columns = x[:, features].T
+    xs = np.sort(columns, axis=1, kind="stable")
+    ones = y[columns.argsort(axis=1, kind="stable")].cumsum(axis=1)
+    left_n = np.arange(1, n)
+    right_n = n - left_n
+    p_left = ones[:, :-1] / left_n
+    p_right = (ones[:, -1:] - ones[:, :-1]) / right_n
+    score = left_n / n * 2.0 * p_left * (1.0 - p_left)
+    score += right_n / n * 2.0 * p_right * (1.0 - p_right)
+    score[xs[:, 1:] == xs[:, :-1]] = np.inf
+    feat, boundary = divmod(int(score.argmin()), n - 1)
+    if score[feat, boundary] == np.inf:
+        return None
+    return int(features[feat]), 0.5 * (xs[feat, boundary + 1] + xs[feat, boundary])
 
 
-def _gini_split_score(
-    sorted_y: np.ndarray, boundary: int
-) -> float:
-    # weighted Gini impurity after splitting at position boundary
-    n = len(sorted_y)
-    left = sorted_y[:boundary]
-    right = sorted_y[boundary:]
-    score = 0.0
-    for part in (left, right):
-        p = part.mean()
-        score += len(part) / n * 2.0 * p * (1.0 - p)
-    return score
-
-
-def _grow_tree(
-    x: np.ndarray,
-    y: np.ndarray,
-    rng: np.random.Generator,
-    max_depth: int,
-    features_per_split: int,
-    depth: int = 0,
-) -> _TreeNode:
-    majority = 1.0 if y.sum() * 2 > len(y) else 0.0
-    if depth >= max_depth or len(y) < 2 or y.min() == y.max():
-        return _TreeNode(label=majority)
-    candidates = rng.choice(x.shape[1], size=features_per_split, replace=False)
-    best = (None, None, np.inf)
-    for feat in sorted(candidates.tolist()):
-        order = np.argsort(x[:, feat], kind="stable")
-        xs = x[order, feat]
-        ys = y[order]
-        for boundary in range(1, len(ys)):
-            if xs[boundary] == xs[boundary - 1]:
-                continue
-            score = _gini_split_score(ys, boundary)
-            if score < best[2]:
-                cut = 0.5 * (xs[boundary] + xs[boundary - 1])
-                best = (feat, cut, score)
-    if best[0] is None:
-        return _TreeNode(label=majority)
-    feat, cut, _ = best
-    mask = x[:, feat] <= cut
-    node = _TreeNode(feature=feat, threshold=cut)
-    node.left = _grow_tree(x[mask], y[mask], rng, max_depth, features_per_split, depth + 1)
-    node.right = _grow_tree(x[~mask], y[~mask], rng, max_depth, features_per_split, depth + 1)
-    return node
-
-
-def _tree_predict(node: _TreeNode, x: np.ndarray) -> np.ndarray:
-    out = np.empty(len(x))
-    for i, row in enumerate(x):
-        cur = node
-        while cur.feature >= 0:
-            cur = cur.left if row[cur.feature] <= cur.threshold else cur.right
-        out[i] = cur.label
-    return out
+def _grow_tree(x, y, rng, max_depth, features_per_split, nodes, depth=0) -> int:
+    """Grow depth-first, left before right, appending each node to nodes
+    as [feature, threshold, left, right, label]; returns its index. A
+    leaf has feature -1 and points to itself, so a row that reaches it
+    stays there."""
+    index, ones = len(nodes), y.sum()
+    nodes.append([-1, 0.0, index, index, 1.0 if ones * 2 > len(y) else 0.0])
+    if depth < max_depth and 0 < ones < len(y):
+        candidates = rng.choice(x.shape[1], size=features_per_split, replace=False)
+        split = _best_split(x, y, np.sort(candidates))
+        if split is not None:
+            feat, cut = split
+            mask = x[:, feat] <= cut
+            left, right = (
+                _grow_tree(x[m], y[m], rng, max_depth, features_per_split, nodes, depth + 1)
+                for m in (mask, ~mask)
+            )
+            nodes[index] = [feat, cut, left, right, 0.0]
+    return index
 
 
 class RandomForest(ParamsMixin):
     """Bagged decision trees; the score is the fraction of trees voting
-    for the unfavourable class, so it is always a multiple of 1/n_trees."""
+    for the unfavourable class, so it is always a multiple of 1/n_trees.
+    Fitted trees are flat: node arrays feature_, threshold_, left_,
+    right_ and label_ hold every tree in turn; roots_ indexes each."""
 
-    def __init__(
-        self,
-        n_trees: int = 100,
-        max_depth: int = 12,
-        seed: int = 0,
-    ):
+    def __init__(self, n_trees: int = 100, max_depth: int = 12, seed: int = 0):
         self.n_trees = n_trees
         self.max_depth = max_depth
         self.seed = seed
+        self._check_params()
+
+    def _check_params(self) -> None:
+        for name, least in (("n_trees", 1), ("max_depth", 0), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+                raise InputError(f"{name} must be an integer >= {least}, got {value!r}")
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "RandomForest":
+        self._check_params()
         x = as_float_matrix(x)
         y = as_label_vector(y, len(x))
         _require_two_classes(y)
         n, f = x.shape
         per_split = max(1, int(np.sqrt(f)))
         seeds = np.random.SeedSequence(self.seed).spawn(self.n_trees)
-        self.trees_ = []
+        nodes: list[list] = []
+        roots = []
         for s in seeds:
             rng = np.random.default_rng(s)
             pick = rng.integers(0, n, size=n)
-            self.trees_.append(
-                _grow_tree(x[pick], y[pick], rng, self.max_depth, per_split)
-            )
+            roots.append(_grow_tree(x[pick], y[pick], rng, self.max_depth, per_split, nodes))
+        table = np.array(nodes)
+        self.roots_ = np.array(roots)
+        self.feature_, self.left_, self.right_ = table[:, [0, 2, 3]].T.astype(int)
+        self.threshold_, self.label_ = table[:, 1], table[:, 4]
         return self
 
     def predict_scores(self, x: np.ndarray) -> np.ndarray:
-        check_fitted(self, "trees_")
+        check_fitted(self, "roots_")
         x = as_float_matrix(x)
-        votes = np.zeros(len(x))
-        for tree in self.trees_:
-            votes += _tree_predict(tree, x)
-        return votes / self.n_trees
+        # walk every (row, tree) cell down one level at a time to its leaf
+        flat, row_start = x.ravel(), np.arange(len(x))[:, None] * x.shape[1]
+        node = np.broadcast_to(self.roots_, (len(x), len(self.roots_)))
+        feature = self.feature_[node]
+        while (feature >= 0).any():
+            go_left = flat[row_start + feature] <= self.threshold_[node]
+            node = np.where(go_left, self.left_[node], self.right_[node])
+            feature = self.feature_[node]
+        return self.label_[node].sum(axis=1) / self.n_trees
 
 
 # ---------------------------------------------------------------------------

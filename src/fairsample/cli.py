@@ -60,7 +60,7 @@ from .balance import (
     quadrant_bounds,
 )
 from .base import ConfigError, FairsampleError, InputError, TrainingError
-from .classifiers import ClassifierSpec, fit, predict_labels
+from .classifiers import ClassifierSpec, build_estimator, fit, predict_labels
 from .dataset import (
     Dataset,
     FeatureSpec,
@@ -234,13 +234,16 @@ def load_config(path: str, seed: int | None = None, out: str | None = None) -> R
         e = _mapping(entry, "classifier entry")
         if "kind" not in e:
             raise ConfigError("every classifier entry needs a kind")
-        specs.append(
-            ClassifierSpec(
-                kind=str(e["kind"]),
-                params=dict(_mapping(e.get("params"), "classifier params")),
-                seed=int(e.get("seed", run_seed)),
-            )
+        spec = ClassifierSpec(
+            kind=str(e["kind"]),
+            params=dict(_mapping(e.get("params"), "classifier params")),
+            seed=int(e.get("seed", run_seed)),
         )
+        try:
+            build_estimator(spec)
+        except (InputError, TypeError) as exc:
+            raise ConfigError(f"classifier {spec.kind!r}: {exc}") from exc
+        specs.append(spec)
     classifiers = tuple(specs)
 
     out_dir = str(data.get("out", "out")) if out is None else str(out)

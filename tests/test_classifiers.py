@@ -166,6 +166,146 @@ def test_forest_scores_are_vote_fractions():
     assert np.allclose(votes, np.round(votes), atol=1e-9)
 
 
+# ---------------------------------------------------------------------------
+# the forest against a quadratic reference: one re-sliced Gini per
+# boundary, node objects, and a row-by-row walk
+
+class OracleNode:
+    def __init__(self, feature=-1, threshold=0.0, label=0.0):
+        self.feature, self.threshold, self.label = feature, threshold, label
+        self.left = self.right = None
+
+
+def oracle_gini(sorted_y, boundary):
+    # re-slice and re-average both sides at every boundary: O(n) each
+    n = len(sorted_y)
+    score = 0.0
+    for part in (sorted_y[:boundary], sorted_y[boundary:]):
+        p = part.mean()
+        score += len(part) / n * 2.0 * p * (1.0 - p)
+    return score
+
+
+def oracle_grow(x, y, rng, max_depth, per_split, depth=0):
+    majority = 1.0 if y.sum() * 2 > len(y) else 0.0
+    if depth >= max_depth or len(y) < 2 or y.min() == y.max():
+        return OracleNode(label=majority)
+    candidates = rng.choice(x.shape[1], size=per_split, replace=False)
+    best = (None, None, np.inf)
+    for feat in sorted(candidates.tolist()):
+        order = np.argsort(x[:, feat], kind="stable")
+        xs, ys = x[order, feat], y[order]
+        for boundary in range(1, len(ys)):
+            if xs[boundary] == xs[boundary - 1]:
+                continue
+            score = oracle_gini(ys, boundary)
+            if score < best[2]:
+                best = (feat, 0.5 * (xs[boundary] + xs[boundary - 1]), score)
+    if best[0] is None:
+        return OracleNode(label=majority)
+    feat, cut, _ = best
+    mask = x[:, feat] <= cut
+    node = OracleNode(feature=feat, threshold=cut)
+    node.left = oracle_grow(x[mask], y[mask], rng, max_depth, per_split, depth + 1)
+    node.right = oracle_grow(x[~mask], y[~mask], rng, max_depth, per_split, depth + 1)
+    return node
+
+
+def oracle_forest(x, y, n_trees, max_depth, seed):
+    n, f = x.shape
+    per_split = max(1, int(np.sqrt(f)))
+    trees = []
+    for s in np.random.SeedSequence(seed).spawn(n_trees):
+        rng = np.random.default_rng(s)
+        pick = rng.integers(0, n, size=n)
+        trees.append(oracle_grow(x[pick], y[pick], rng, max_depth, per_split))
+    return trees
+
+
+def oracle_scores(trees, x):
+    votes = np.zeros(len(x))
+    for tree in trees:
+        for i, row in enumerate(x):
+            cur = tree
+            while cur.feature >= 0:
+                cur = cur.left if row[cur.feature] <= cur.threshold else cur.right
+            votes[i] += cur.label
+    return votes / len(trees)
+
+
+def oracle_arrays(trees):
+    """Pre-order node table: [feature, threshold, left, right, label]
+    per node, a leaf pointing to itself; plus each tree's root."""
+    nodes, roots = [], []
+
+    def visit(node):
+        index = len(nodes)
+        nodes.append([node.feature, node.threshold, index, index, node.label])
+        if node.feature >= 0:
+            nodes[index][2] = visit(node.left)
+            nodes[index][3] = visit(node.right)
+        return index
+
+    for tree in trees:
+        roots.append(visit(tree))
+    return nodes, roots
+
+
+def forest_fixtures():
+    rng = np.random.default_rng(2024)
+    yield pytest.param(np.round(rng.normal(size=(80, 4)), 1), rng.random(80) < 0.3, 12, id="ties")
+    one_hot = np.eye(5)[rng.integers(0, 5, size=90)]
+    mixed = np.column_stack([one_hot, rng.normal(size=90)])
+    yield pytest.param(mixed, (one_hot[:, 1] + (rng.random(90) < 0.2)) > 0, 12, id="one_hot")
+    constant = np.column_stack([np.full(60, 3.0), rng.normal(size=60)])
+    yield pytest.param(constant, rng.random(60) < 0.5, 12, id="constant_column")
+    yield pytest.param(np.array([[0.0, 1.0], [1.0, 1.0]]), np.array([0, 1]), 12, id="n_equals_2")
+    # every row five times over, so each bootstrap draws many duplicates
+    repeated = np.repeat(rng.normal(size=(12, 3)), 5, axis=0)
+    yield pytest.param(repeated, np.repeat(rng.random(12) < 0.5, 5), 12, id="duplicate_rows")
+    base = rng.normal(size=(70, 9))
+    labels = base[:, 0] + 0.5 * rng.normal(size=70) > 0.4
+    for depth in (0, 1, 12):
+        yield pytest.param(base, labels, depth, id=f"depth_{depth}")
+    for case in range(12):
+        n = int(rng.integers(2, 150))
+        x = rng.normal(size=(n, int(rng.integers(1, 9))))
+        x = np.round(x, int(rng.integers(0, 3)))  # coarse grids tie often
+        y = rng.random(n) < rng.uniform(0.1, 0.9)
+        y[:2] = [True, False]
+        yield pytest.param(x, y, int(rng.integers(1, 14)), id=f"random_{case}")
+
+
+@pytest.mark.parametrize("x,y,depth", list(forest_fixtures()))
+def test_forest_matches_quadratic_oracle(x, y, depth):
+    y = y.astype(float)
+    probe = np.vstack([x, x + 0.05, x[::-1] - 0.05])
+    for seed, n_trees in ((0, 1), (7, 3), (123, 5)):
+        forest = RandomForest(n_trees=n_trees, max_depth=depth, seed=seed).fit(x, y)
+        trees = oracle_forest(x, y, n_trees, depth, seed)
+        nodes, roots = oracle_arrays(trees)
+        assert forest.roots_.tolist() == roots
+        table = np.column_stack(
+            [forest.feature_, forest.threshold_, forest.left_, forest.right_, forest.label_]
+        )
+        assert table.tolist() == nodes
+        assert np.array_equal(forest.predict_scores(probe), oracle_scores(trees, probe))
+
+
+def test_forest_rejects_bad_params():
+    bad = [
+        ("n_trees", 0), ("n_trees", -1), ("n_trees", 2.0), ("n_trees", True),
+        ("max_depth", -1), ("max_depth", "3"), ("seed", -1),
+    ]
+    for name, value in bad:
+        with pytest.raises(InputError, match=name):
+            RandomForest(**{name: value})
+    forest = RandomForest(n_trees=1, max_depth=0)
+    forest.set_params(n_trees=0)
+    with pytest.raises(InputError, match="n_trees"):
+        forest.fit(np.zeros((2, 1)), np.array([0.0, 1.0]))
+
+
 def test_single_label_training_error():
     train, _ = make_train_test(seed=23, quadrants=(50, 1, 20, 1))
     only_fav = train.take(np.flatnonzero(~train.unfavourable))

@@ -8,12 +8,15 @@ from __future__ import annotations
 import csv
 import json
 import os
+import subprocess
+import sys
 from textwrap import dedent
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import fairsample
 from fairsample.balance import BalanceParams, compute_plan
 from fairsample.classifiers import register_kind
 from fairsample.cli import TABLE_COLUMNS, load_config, main
@@ -148,6 +151,45 @@ def test_schema_without_features_is_a_config_error(tmp_path):
         result = runner.invoke(main, [command, "--config", cfg])
         assert result.exit_code == 2, (command, result.output)
         assert "at least one feature" in result.output
+
+
+@pytest.mark.parametrize(
+    "classifier,fragment",
+    [
+        ("{kind: forest, params: {n_trees: 0}}", "n_trees"),
+        ("{kind: forest, params: {n_trees: -1}}", "n_trees"),
+        ("{kind: forest, params: {max_depth: 1.5}}", "max_depth"),
+        ("{kind: forest, seed: -1}", "seed"),
+        ("{kind: logistic, params: {bogus: 1}}", "bogus"),
+        ("{kind: no_such_kind}", "unknown classifier kind"),
+    ],
+)
+def test_bad_classifier_entries_are_config_errors(tmp_path, classifier, fragment):
+    out = tmp_path / "never_written"
+    cfg = write_config(
+        tmp_path / "bad_classifier.yaml",
+        f"""\
+        dataset: {{synthetic: {{quadrants: [520, 60, 130, 40]}}}}
+        classifiers:
+          - {classifier}
+        out: {out}
+        """,
+    )
+    result = runner.invoke(main, ["search", "--config", cfg])
+    assert result.exit_code == 2, result.output
+    assert fragment in result.output
+    assert not out.exists()  # rejected before any work
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(fairsample.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "fairsample", "--help"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "search" in result.stdout
 
 
 def test_flags_override_config(tmp_path):
@@ -464,7 +506,7 @@ def test_report_on_own_eval_split_reproduces_optimal_rows(search_run, tmp_path):
         assert report[label]["threshold"] == optimal[label]["threshold"]
 
 
-def write_categorical_config(tmp_path, out):
+def write_categorical_config(tmp_path, out, classifier):
     # synthetic data plus a label-leaning categorical column whose value
     # "c" sits on one record only, so most samples miss it
     d = generate_synthetic(SyntheticSpec(quadrants=(520, 60, 130, 40)), seed=3)
@@ -511,7 +553,7 @@ def write_categorical_config(tmp_path, out):
           neighborhood: 0.25
           thresholds: [0.25, 0.5, 0.75]
         classifiers:
-          - {{kind: logistic}}
+          - {classifier}
         out: {out}
         seed: 11
         """,
@@ -522,8 +564,18 @@ def test_report_reproduces_search_on_categorical_features(tmp_path):
     # search fits logistic models on one-hot columns fixed on the whole
     # training split; report refits the chosen sample on its own one-hot
     # columns, and must land on the same model
+    check_report_reproduces_search(tmp_path, "{kind: logistic}")
+
+
+def test_report_reproduces_forest_search_on_categorical_features(tmp_path):
+    # search fits each forest on its sample's own pipeline; report must
+    # rebuild the very forest search selected
+    check_report_reproduces_search(tmp_path, "{kind: forest, params: {n_trees: 4}, seed: 5}")
+
+
+def check_report_reproduces_search(tmp_path, classifier):
     out = tmp_path / "regions_out"
-    cfg_path = write_categorical_config(tmp_path, out)
+    cfg_path = write_categorical_config(tmp_path, out, classifier)
     result = runner.invoke(main, ["search", "--config", cfg_path])
     assert result.exit_code == 0, result.output
     cfg = load_config(cfg_path)

@@ -614,14 +614,19 @@ def test_model_evaluator_matches_reference(corpus):
 
 
 def test_model_evaluator_generic_kind_matches_reference():
-    spec = ClassifierSpec(kind="naive_bayes", params={})
-    evaluate = make_model_evaluator(TRAIN, EVAL, spec, WEIGHTS, SIZE)
+    specs = [
+        ClassifierSpec(kind="naive_bayes", params={}),
+        ClassifierSpec(kind="forest", params={"n_trees": 4}, seed=3),
+    ]
     tasks = model_tasks(global_seed=2)
-    for task, point in zip(tasks, evaluate(tasks)):
-        threshold, report = reference_point(TRAIN, EVAL, spec, task, SIZE)
-        assert point.threshold == threshold
-        assert point.report.to_dict() == report.to_dict()
-        assert point.classifier_kind == "naive_bayes"
+    for spec in specs:
+        for d_train, d_eval in CORPORA.values():
+            evaluate = make_model_evaluator(d_train, d_eval, spec, WEIGHTS, SIZE)
+            for task, point in zip(tasks, evaluate(tasks)):
+                threshold, report = reference_point(d_train, d_eval, spec, task, SIZE)
+                assert point.threshold == threshold
+                assert point.report.to_dict() == report.to_dict()
+                assert point.classifier_kind == spec.kind
 
 
 @pytest.mark.parametrize("corpus", sorted(CORPORA))
