@@ -403,11 +403,12 @@ def materialize_sample(d: Dataset, plan: SamplingPlan, size: int, seed: int) -> 
 def _draw_without_replacement(
     rng: np.random.Generator, pool: np.ndarray, need: int
 ) -> np.ndarray:
-    """Uniform sample of distinct pool entries.
+    """Uniform sample of distinct pool entries, in no particular order.
 
     Small draws from big pools avoid the full-pool shuffle a plain
     choice() would pay for: one random vector plus Floyd's collision
-    fix-up costs O(need) instead of O(pool).
+    fix-up (Bentley & Floyd, CACM 30(9), 1987) costs O(need) instead of
+    O(pool).
     """
     n = len(pool)
     if need >= n:
@@ -417,13 +418,9 @@ def _draw_without_replacement(
     highs = np.arange(n - need + 1, n + 1)
     draws = np.minimum((rng.random(need) * highs).astype(np.int64), highs - 1)
     taken: set[int] = set()
-    out = np.empty(need, dtype=pool.dtype)
-    for i, (t, j) in enumerate(zip(draws.tolist(), range(n - need, n))):
-        if t in taken:
-            t = j
-        taken.add(t)
-        out[i] = pool[t]
-    return out
+    for t, j in zip(draws.tolist(), range(n - need, n)):
+        taken.add(j if t in taken else t)
+    return pool[np.fromiter(taken, dtype=np.intp, count=need)]
 
 
 # ---------------------------------------------------------------------------

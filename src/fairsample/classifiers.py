@@ -73,12 +73,20 @@ def fit_logistic_batch(
     w = np.zeros((k, f))
     b = np.zeros(k)
     idx = np.arange(k)
+    # z, the sigmoid and the residual share one buffer, computed in place
+    # with the float operations of _sigmoid(z) - y in the same order
+    buffer = np.empty((k, n, 1))
     performed = 0
     for it in range(max_iter):
         if idx.size == 0:
             break
-        z = (work_x @ w[:, :, None])[:, :, 0] + b[:, None]
-        residual = _sigmoid(z) - work_y
+        residual = np.matmul(work_x, w[:, :, None], out=buffer[: idx.size])[:, :, 0]
+        residual += b[:, None]
+        residual *= 0.5
+        np.tanh(residual, out=residual)
+        residual += 1.0
+        residual *= 0.5
+        residual -= work_y
         grad_w = (residual[:, None, :] @ work_x)[:, 0, :] / n + l2 * w
         grad_b = residual.mean(axis=1)
         step_w = learning_rate * grad_w
@@ -116,8 +124,8 @@ def logistic_grad(
     return grad_w, float(residual.mean())
 
 
-class LogisticRegression(ParamsMixin):
-    """L2-regularised logistic regression, plain gradient descent."""
+class _GradientDescent(ParamsMixin):
+    """Settings shared by the two linear models trained by descent."""
 
     def __init__(
         self,
@@ -130,8 +138,28 @@ class LogisticRegression(ParamsMixin):
         self.l2 = l2
         self.max_iter = max_iter
         self.tol = tol
+        self._check_params()
+
+    def _check_params(self) -> None:
+        for name, rule in (("learning_rate", "> 0"), ("l2", ">= 0"), ("tol", ">= 0")):
+            value = getattr(self, name)
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, (int, float, np.integer, np.floating))
+                or not np.isfinite(value)
+                or not (value > 0 if rule == "> 0" else value >= 0)
+            ):
+                raise InputError(f"{name} must be a finite number {rule}, got {value!r}")
+        value = self.max_iter
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+            raise InputError(f"max_iter must be an integer >= 1, got {value!r}")
+
+
+class LogisticRegression(_GradientDescent):
+    """L2-regularised logistic regression, plain gradient descent."""
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "LogisticRegression":
+        self._check_params()
         x = as_float_matrix(x)
         y = as_label_vector(y, len(x))
         _require_two_classes(y)
@@ -173,26 +201,15 @@ def hinge_grad(
     return grad_w, float(grad_b)
 
 
-class LinearSVM(ParamsMixin):
+class LinearSVM(_GradientDescent):
     """Linear SVM via subgradient descent on the hinge objective.
 
     Scores are the decision margin squashed through a logistic so they
     live on the same [0, 1] scale the thresholding code expects.
     """
 
-    def __init__(
-        self,
-        learning_rate: float = 0.1,
-        l2: float = 1e-4,
-        max_iter: int = 200,
-        tol: float = 1e-6,
-    ):
-        self.learning_rate = learning_rate
-        self.l2 = l2
-        self.max_iter = max_iter
-        self.tol = tol
-
     def fit(self, x: np.ndarray, y: np.ndarray) -> "LinearSVM":
+        self._check_params()
         x = as_float_matrix(x)
         y = as_label_vector(y, len(x))
         _require_two_classes(y)

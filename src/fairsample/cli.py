@@ -129,6 +129,14 @@ def _mapping(value, where: str) -> dict:
     return value
 
 
+def _seed(value, where: str) -> int:
+    """A seed as numpy's generators take it and point_seed packs it
+    (signed 64-bit): an integer in [0, 2**63)."""
+    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < 2**63:
+        raise ConfigError(f"{where} must be an integer in [0, 2**63), got {value!r}")
+    return value
+
+
 def _schema_from(data: dict) -> Schema:
     try:
         features = tuple(
@@ -206,7 +214,7 @@ def load_config(path: str, seed: int | None = None, out: str | None = None) -> R
         raise ConfigError("split.fractions needs at least two parts")
     if any(f <= 0 for f in fractions) or abs(sum(fractions) - 1.0) > 1e-9:
         raise ConfigError(f"split.fractions must be positive and sum to 1, got {list(fractions)}")
-    split_seed = int(split.get("seed", 0))
+    split_seed = _seed(split.get("seed", 0), "split.seed")
 
     try:
         weights = LossWeights(**_mapping(data.get("weights"), "weights section"))
@@ -225,7 +233,7 @@ def load_config(path: str, seed: int | None = None, out: str | None = None) -> R
     except TypeError as exc:
         raise ConfigError(f"grid section is malformed: {exc!r}") from exc
 
-    run_seed = int(data.get("seed", 0)) if seed is None else int(seed)
+    run_seed = _seed(data.get("seed", 0) if seed is None else seed, "seed")
     entries = data.get("classifiers", [{"kind": "logistic"}])
     if not isinstance(entries, list) or not entries:
         raise ConfigError("classifiers must be a non-empty list")
@@ -237,7 +245,7 @@ def load_config(path: str, seed: int | None = None, out: str | None = None) -> R
         spec = ClassifierSpec(
             kind=str(e["kind"]),
             params=dict(_mapping(e.get("params"), "classifier params")),
-            seed=int(e.get("seed", run_seed)),
+            seed=_seed(e.get("seed", run_seed), "classifier seed"),
         )
         try:
             build_estimator(spec)

@@ -15,7 +15,9 @@ through one vectorised kernel a chunk of tasks at a time, with the
 one-hot categories fixed on the training split.
 All ordering is deterministic; per-point seeds hash the global seed
 with the fine-lattice indices, so a point revisited at level 1 reuses
-exactly the sample it had at level 0.
+exactly the sample it had at level 0. A full search therefore trains a
+logistic model at each lattice point once and re-scores level 0's fits
+at level 1.
 """
 from __future__ import annotations
 
@@ -313,6 +315,11 @@ def _invalid_point(task: Task, kind: str, size: int, message: str) -> Evaluation
     )
 
 
+# a task's logistic fit in the raw feature basis, (w_raw..., b_raw), or
+# the reason the task has none, keyed by (params, seed)
+Fits = dict[tuple[BalanceParams, int], "np.ndarray | str"]
+
+
 def _batched_logistic(
     d_train: Dataset,
     d_eval: Dataset,
@@ -320,6 +327,8 @@ def _batched_logistic(
     size: int,
     chunk_size: int,
     sweep: "_ThresholdSweep",
+    keep_fits: Fits | None,
+    reuse_fits: Fits | None,
 ) -> Evaluator:
     """Logistic evaluation through one batched fit per chunk.
 
@@ -332,74 +341,94 @@ def _batched_logistic(
     folded into the weights as an affine change of basis, so one matrix
     product scores a block of tasks. Only the order of float operations
     differs from fitting each sample through FeaturePipeline.
+
+    A task found in reuse_fits is re-scored from its recorded fit (or
+    keeps its recorded failure) without drawing or fitting; every task's
+    outcome is recorded in keep_fits when given.
     """
     counts = quadrant_counts(d_train)
     pipeline = FeaturePipeline().fit(d_train)
     train_matrix = pipeline.encode(d_train)
     eval_matrix = pipeline.encode(d_eval)
-    one_hot_columns = np.zeros(train_matrix.shape[1], dtype=bool)
+    width = train_matrix.shape[1]
+    one_hot_columns = np.zeros(width, dtype=bool)
     for start, stop in pipeline.categorical_blocks():
         one_hot_columns[start:stop] = True
     train_labels = d_train.unfavourable.astype(float)
     template = LogisticRegression(**spec.params)
+    known = reuse_fits or {}
 
-    def run_chunk(chunk, out):
-        xs = np.empty((len(chunk), size, train_matrix.shape[1]))
-        ys = np.empty((len(chunk), size))
-        slots, metas = [], []
-        for task in chunk:
-            params, thresholds, seed = task
-            try:
-                plan = compute_plan(counts, params)
-                idx = sample_indices(d_train, plan, size, seed)
-            except InfeasibleError as exc:
-                out.append(_invalid_point(task, spec.kind, size, str(exc)))
-                continue
-            y = train_labels[idx]
-            ones = y.sum()
-            if ones == 0.0 or ones == len(y):
-                out.append(
-                    _invalid_point(
-                        task,
-                        spec.kind,
-                        size,
-                        "training data contains a single label value",
-                    )
-                )
-                continue
-            x_raw = train_matrix[idx]
-            mean = x_raw.mean(axis=0)
-            std = x_raw.std(axis=0)
-            std[std == 0.0] = 1.0
-            mean[one_hot_columns] = 0.0
-            std[one_hot_columns] = 1.0
-            xs[len(metas)] = (x_raw - mean) / std
-            ys[len(metas)] = y
-            slots.append(len(out))
-            out.append(None)  # backfilled below
-            metas.append((task, mean, std))
-        if not metas:
-            return
-        fitted = len(metas)
+    def draw(task: Task) -> np.ndarray | str:
+        """The task's sample rows, or why it cannot be fitted."""
+        params, _, seed = task
+        try:
+            idx = sample_indices(d_train, compute_plan(counts, params), size, seed)
+        except InfeasibleError as exc:
+            return str(exc)
+        ones = train_labels[idx].sum()
+        if ones == 0.0 or ones == size:
+            return "training data contains a single label value"
+        return idx
+
+    def fit_samples(picks: list[np.ndarray]) -> np.ndarray:
+        """Raw-basis (w_raw..., b_raw) rows, one per drawn sample."""
+        rows = np.concatenate(picks)
+        xs = train_matrix[rows].reshape(len(picks), size, width)
+        ys = train_labels[rows].reshape(len(picks), size)
+        # standardise the whole stack in place; one-hot columns keep
+        # mean 0 and scale 1
+        mean = xs.mean(axis=1)
+        mean[:, one_hot_columns] = 0.0
+        xs -= mean[:, None, :]
+        std = np.empty_like(mean)
+        square = np.empty((size, width))
+        for sample, total in zip(xs, std):  # one sample's squares at a time
+            np.sum(np.square(sample, out=square), axis=0, out=total)
+        std /= size
+        np.sqrt(std, out=std)
+        std[std == 0.0] = 1.0
+        std[:, one_hot_columns] = 1.0
+        xs /= std[:, None, :]
         w, b, _ = fit_logistic_batch(
-            xs[:fitted],
-            ys[:fitted],
-            template.learning_rate,
-            template.l2,
-            template.max_iter,
-            template.tol,
+            xs, ys, template.learning_rate, template.l2, template.max_iter, template.tol
         )
-        del xs, ys  # freed before scoring, so the two never add up in peak memory
-        means = np.stack([m for _, m, _ in metas])
-        stds = np.stack([s for _, _, s in metas])
-        w_raw = w / stds
-        b_raw = b - np.sum(w * means / stds, axis=1)
-        for start in range(0, fitted, _SWEEP_BLOCK):
-            block = slice(start, start + _SWEEP_BLOCK)
-            scores = _sigmoid_scores(eval_matrix @ w_raw[block].T + b_raw[block])
-            points = sweep.points([t for t, _, _ in metas[block]], scores, spec.kind, size)
-            for slot, point in zip(slots[block], points):
-                out[slot] = point
+        coef = np.empty((len(picks), width + 1))
+        coef[:, :width] = w / std
+        coef[:, width] = b - np.sum(w * mean / std, axis=1)
+        return coef
+
+    def run_chunk(chunk: list[Task], out: list[EvaluationPoint]) -> None:
+        # per task: a recorded fit or failure, or the index of its sample
+        outcomes: list[np.ndarray | str | int] = []
+        picks: list[np.ndarray] = []
+        for task in chunk:
+            params, _, seed = task
+            outcome = known.get((params, seed))
+            if outcome is None:
+                outcome = draw(task)
+                if not isinstance(outcome, str):
+                    picks.append(outcome)
+                    outcome = len(picks) - 1
+            outcomes.append(outcome)
+        if picks:
+            coef = fit_samples(picks)
+            outcomes = [coef[o] if isinstance(o, int) else o for o in outcomes]
+        if keep_fits is not None:
+            for (params, _, seed), outcome in zip(chunk, outcomes):
+                keep_fits[(params, seed)] = outcome
+        scored = [(t, o) for t, o in zip(chunk, outcomes) if not isinstance(o, str)]
+        points: list[EvaluationPoint] = []
+        for start in range(0, len(scored), _SWEEP_BLOCK):
+            block = scored[start : start + _SWEEP_BLOCK]
+            table = np.array([row for _, row in block])
+            scores = _sigmoid_scores(eval_matrix @ table[:, :width].T + table[:, width])
+            points.extend(sweep.points([t for t, _ in block], scores, spec.kind, size))
+        scored_points = iter(points)
+        for task, outcome in zip(chunk, outcomes):
+            if isinstance(outcome, str):
+                out.append(_invalid_point(task, spec.kind, size, outcome))
+            else:
+                out.append(next(scored_points))
 
     def evaluate(tasks: list[Task]) -> list[EvaluationPoint]:
         out: list[EvaluationPoint] = []
@@ -417,6 +446,8 @@ def make_model_evaluator(
     weights: LossWeights,
     size: int,
     chunk_size: int = 256,
+    keep_fits: Fits | None = None,
+    reuse_fits: Fits | None = None,
 ) -> Evaluator:
     """The real evaluator: sample, train, score, pick the threshold.
 
@@ -424,6 +455,11 @@ def make_model_evaluator(
     descent kernel in fixed chunks (see _batched_logistic); every other
     kind draws its sample, fits a FeaturePipeline and trains per task.
     Chunking is a memory knob only, results do not depend on it.
+
+    For logistic specs, keep_fits collects each task's fit and
+    reuse_fits supplies fits to re-score instead of training again; a
+    recorded fit is valid only for the same training split, spec and
+    size. Other kinds ignore both.
     """
     if size < 1:
         raise InputError(f"sample size must be positive, got {size}")
@@ -431,7 +467,9 @@ def make_model_evaluator(
         raise InputError(f"chunk_size must be positive, got {chunk_size}")
     sweep = _ThresholdSweep(d_eval, weights)
     if spec.kind == "logistic":
-        return _batched_logistic(d_train, d_eval, spec, size, chunk_size, sweep)
+        return _batched_logistic(
+            d_train, d_eval, spec, size, chunk_size, sweep, keep_fits, reuse_fits
+        )
     counts = quadrant_counts(d_train)
 
     def evaluate(tasks: list[Task]) -> list[EvaluationPoint]:
@@ -687,8 +725,13 @@ def full_search(
     """
     if size is None:
         size = _common_size(d_train, grid)
-    eval0 = evaluators[0] if evaluators else None
-    eval1 = evaluators[1] if evaluators else None
+    fits: Fits = {}  # level 0's logistic fits, re-scored at level 1
+    eval0, eval1 = evaluators or (
+        make_model_evaluator(
+            d_train, d_eval_level0, spec, grid.weights, size, keep_fits=fits
+        ),
+        None,
+    )
     level0 = grid_search_level0(
         d_train, d_eval_level0, spec, grid, seed, size, eval0, sink
     )
@@ -699,6 +742,13 @@ def full_search(
             front=ParetoFront(points=()),
             best=None,
             size=size,
+        )
+    if eval1 is None:
+        # point_seed hashes only the lattice coordinates, so a level-1
+        # task at a level-0 point would draw the same sample and get the
+        # same fit: re-score the level-0 fit on the level-1 split instead
+        eval1 = make_model_evaluator(
+            d_train, d_eval_level1, spec, grid.weights, size, reuse_fits=fits
         )
     level1 = grid_search_level1(
         level0, d_train, d_eval_level1, spec, grid, seed, size, eval1, sink

@@ -16,6 +16,7 @@ from scipy.optimize import brentq
 
 from fairsample.balance import (
     BalanceParams,
+    _draw_without_replacement,
     PRESET_NAMES,
     SamplingPlan,
     allowed_interval,
@@ -449,6 +450,48 @@ def test_materialize_composition_and_determinism():
     assert len(np.unique(sample.row_ids)) == len(sample)
     assert np.isin(sample.row_ids, d.row_ids).all()
     assert quadrant_counts(sample).as_tuple() == apportion(size, plan.ratios)
+
+
+def oracle_draw(rng, pool, need, seen):
+    """The per-element Floyd loop the draw used to run, in draw order;
+    counts in seen which branch ran, how many draws landed in the
+    [n - need, n) range and how many collided."""
+    n = len(pool)
+    if need >= n:
+        seen["whole"] += 1
+        return pool.copy()
+    if 4 * need >= n:
+        seen["permutation"] += 1
+        return rng.permutation(pool)[:need]
+    seen["floyd"] += 1
+    highs = np.arange(n - need + 1, n + 1)
+    draws = np.minimum((rng.random(need) * highs).astype(np.int64), highs - 1)
+    seen["high_draws"] += int((draws >= n - need).sum())
+    taken = set()
+    out = np.empty(need, dtype=pool.dtype)
+    for i, (t, j) in enumerate(zip(draws.tolist(), range(n - need, n))):
+        if t in taken:
+            seen["collisions"] += 1
+            t = j
+        taken.add(t)
+        out[i] = pool[t]
+    return out
+
+
+def test_draw_matches_per_element_floyd_loop():
+    cases = [(n, need, n * 7919 + need) for n in range(1, 71) for need in range(1, n + 2)]
+    cases += [(n, need, seed) for n in (200, 1000, 9000) for need in (1, 2, 5, 17, 49) for seed in range(40)]
+    seen = dict.fromkeys(("whole", "permutation", "floyd", "high_draws", "collisions"), 0)
+    for n, need, seed in cases:
+        pool = np.arange(n, dtype=np.intp) * 3 + 11  # values differ from positions
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _draw_without_replacement(rng, pool, need)
+        want = oracle_draw(oracle_rng, pool, need, seen)
+        assert got.dtype == want.dtype
+        assert np.array_equal(np.sort(got), np.sort(want))
+        assert rng.random() == oracle_rng.random()  # the stream is untouched
+    assert len(cases) > 2000
+    assert min(seen.values()) > 100, seen
 
 
 def test_materialize_infeasible_names_quadrant():

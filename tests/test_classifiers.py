@@ -128,6 +128,69 @@ def test_batched_fit_shape_validation():
         fit_logistic_batch(np.zeros((2, 4, 3)), np.zeros((2, 5)), 0.1, 0.0, 10, 1e-6)
 
 
+def oracle_fit_logistic_batch(stacked_x, stacked_y, learning_rate, l2, max_iter, tol):
+    """The batched kernel as it was before it reused one residual buffer:
+    the same operations in the same order, each on a fresh array."""
+    k, n, f = stacked_x.shape
+    weights, intercepts = np.zeros((k, f)), np.zeros(k)
+    iterations = np.zeros(k, dtype=int)
+    work_x, work_y = stacked_x, stacked_y
+    w, b, idx = np.zeros((k, f)), np.zeros(k), np.arange(k)
+    performed = 0
+    for it in range(max_iter):
+        if idx.size == 0:
+            break
+        z = (work_x @ w[:, :, None])[:, :, 0] + b[:, None]
+        residual = 0.5 * (1.0 + np.tanh(0.5 * z)) - work_y
+        grad_w = (residual[:, None, :] @ work_x)[:, 0, :] / n + l2 * w
+        grad_b = residual.mean(axis=1)
+        step_w, step_b = learning_rate * grad_w, learning_rate * grad_b
+        w -= step_w
+        b -= step_b
+        performed = it + 1
+        done = np.maximum(np.abs(step_w).max(axis=1), np.abs(step_b)) < tol
+        if done.any():
+            settled = idx[done]
+            weights[settled], intercepts[settled] = w[done], b[done]
+            iterations[settled] = performed
+            keep = ~done
+            work_x, work_y = work_x[keep], work_y[keep]
+            w, b, idx = w[keep], b[keep], idx[keep]
+    weights[idx], intercepts[idx], iterations[idx] = w, b, performed
+    return weights, intercepts, iterations
+
+
+def kernel_cases():
+    rng = np.random.default_rng(23)
+    x = rng.normal(size=(6, 50, 3)) * (0.2 + np.arange(6))[:, None, None]
+    y = (x[:, :, 0] + rng.normal(size=(6, 50)) > 0).astype(float)
+    zeros = np.insert(x, [1, 3], 0.0, axis=2)  # all-zero columns 1 and 4
+    zeros[::2, :, 2] = 0.0  # some problems lack one more column
+    return {
+        "max_iter": (x, y, dict(learning_rate=0.1, l2=1e-4, max_iter=40, tol=1e-12)),
+        "frozen": (x, y, dict(learning_rate=0.5, l2=0.01, max_iter=3000, tol=1e-6)),
+        "single": (x[3:4], y[3:4], dict(learning_rate=0.5, l2=0.01, max_iter=3000, tol=1e-6)),
+        "zero_columns": (zeros, y, dict(learning_rate=0.5, l2=0.01, max_iter=3000, tol=1e-6)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(kernel_cases()))
+def test_batched_fit_matches_allocating_oracle(case):
+    x, y, settings = kernel_cases()[case]
+    w, b, its = fit_logistic_batch(x, y, **settings)
+    want_w, want_b, want_its = oracle_fit_logistic_batch(x, y, **settings)
+    assert np.array_equal(w, want_w)
+    assert np.array_equal(b, want_b)
+    assert np.array_equal(its, want_its)
+    if case == "max_iter":
+        assert (its == settings["max_iter"]).all()
+    elif case != "single":
+        assert len(set(its.tolist())) > 1  # problems froze at different steps
+        assert (its < settings["max_iter"]).all()
+    if case == "zero_columns":
+        assert (w[:, [1, 4]] == 0.0).all() and (w[::2, 2] == 0.0).all()
+
+
 # ---------------------------------------------------------------------------
 # estimator behaviour
 
@@ -290,6 +353,23 @@ def test_forest_matches_quadratic_oracle(x, y, depth):
         )
         assert table.tolist() == nodes
         assert np.array_equal(forest.predict_scores(probe), oracle_scores(trees, probe))
+
+
+@pytest.mark.parametrize("cls", [LogisticRegression, LinearSVM])
+def test_descent_models_reject_bad_params(cls):
+    bad = [
+        ("learning_rate", 0.0), ("learning_rate", -1.0), ("learning_rate", float("nan")),
+        ("learning_rate", "x"), ("l2", -1e-3), ("l2", float("inf")), ("tol", -1.0),
+        ("tol", True), ("max_iter", 0), ("max_iter", 2.5), ("max_iter", True),
+    ]
+    for name, value in bad:
+        with pytest.raises(InputError, match=name):
+            cls(**{name: value})
+    cls(learning_rate=1, l2=0, tol=0.0, max_iter=1)  # the edges are allowed
+    model = cls()
+    model.set_params(max_iter=0)
+    with pytest.raises(InputError, match="max_iter"):
+        model.fit(np.array([[0.0], [1.0]]), np.array([0.0, 1.0]))
 
 
 def test_forest_rejects_bad_params():

@@ -162,6 +162,11 @@ def test_schema_without_features_is_a_config_error(tmp_path):
         ("{kind: forest, seed: -1}", "seed"),
         ("{kind: logistic, params: {bogus: 1}}", "bogus"),
         ("{kind: no_such_kind}", "unknown classifier kind"),
+        ("{kind: logistic, seed: abc}", "classifier seed"),
+        ("{kind: logistic, params: {learning_rate: -1.0}}", "learning_rate"),
+        ("{kind: logistic, params: {max_iter: 0}}", "max_iter"),
+        ("{kind: svm, params: {max_iter: -5}}", "max_iter"),
+        ("{kind: svm, params: {l2: .nan}}", "l2"),
     ],
 )
 def test_bad_classifier_entries_are_config_errors(tmp_path, classifier, fragment):
@@ -176,6 +181,32 @@ def test_bad_classifier_entries_are_config_errors(tmp_path, classifier, fragment
         """,
     )
     result = runner.invoke(main, ["search", "--config", cfg])
+    assert result.exit_code == 2, result.output
+    assert fragment in result.output
+    assert not out.exists()  # rejected before any work
+
+
+@pytest.mark.parametrize(
+    "section,flags,fragment",
+    [
+        ("split: {seed: xyz}", [], "split.seed"),
+        ("split: {seed: -1}", [], "split.seed"),
+        ("seed: 2.5", [], "seed must be"),
+        ("", ["--seed", "99999999999999999999"], "seed must be"),
+        ("", ["--seed", "-3"], "seed must be"),
+    ],
+)
+def test_bad_seeds_are_config_errors(tmp_path, section, flags, fragment):
+    out = tmp_path / "never_written"
+    cfg = write_config(
+        tmp_path / "bad_seed.yaml",
+        f"""\
+        dataset: {{synthetic: {{quadrants: [520, 60, 130, 40]}}}}
+        {section}
+        out: {out}
+        """,
+    )
+    result = runner.invoke(main, ["search", "--config", cfg, *flags])
     assert result.exit_code == 2, result.output
     assert fragment in result.output
     assert not out.exists()  # rejected before any work

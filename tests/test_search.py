@@ -757,6 +757,61 @@ def test_inspect_point_is_deterministic():
 
 
 # ---------------------------------------------------------------------------
+# level-0 fits re-scored at level 1
+
+SKEWED = generate_synthetic(SyntheticSpec(quadrants=(300, 590, 100, 10)), seed=1)
+REUSE_CORPORA = {
+    "numeric": (TRAIN, EVAL, _SPARE),
+    "categorical": (CAT_TRAIN, CAT_EVAL, with_region(_SPARE, 7, 1, "z")),
+    # some lattice points are infeasible, so recorded failures are reused too
+    "infeasible": stratified_split(SKEWED, (0.6, 0.2, 0.2), seed=3),
+}
+
+
+@pytest.mark.parametrize("corpus", sorted(REUSE_CORPORA))
+def test_full_search_fits_each_lattice_point_once(corpus, monkeypatch):
+    d_train, eval0, eval1 = REUSE_CORPORA[corpus]
+    spec = ClassifierSpec(kind="logistic", params={})
+    # level 1 is the whole quarter-step cube, so it holds every level-0 point
+    grid = GridSpec(
+        level0_step=0.5, level1_step=0.25, top_k=1, neighborhood=1.0,
+        thresholds=(0.25, 0.5, 0.75),
+    )
+    problems, made = [], []
+
+    def counting(stacked_x, *args):
+        problems.append(len(stacked_x))
+        return fit_logistic_batch(stacked_x, *args)
+
+    def spying(*args, **kwargs):
+        made.append(kwargs)
+        return make_model_evaluator(*args, **kwargs)
+
+    monkeypatch.setattr(search_mod, "fit_logistic_batch", counting)
+    monkeypatch.setattr(search_mod, "make_model_evaluator", spying)
+    result = full_search(d_train, eval0, eval1, spec, grid, seed=2)
+    assert {p.params for p in result.level0} <= {p.params for p in result.level1}
+    assert len(result.level1) == 125
+    drawn = [p for p in result.level1 if p.error is None]
+    assert sum(problems) == len(drawn)
+    if corpus == "infeasible":
+        assert any(p.error is not None for p in result.level0)
+    # a fresh evaluator on the same level-1 tasks fits every point itself
+    fresh_fits: dict = {}
+    fresh = grid_search_level1(
+        list(result.level0), d_train, eval1, spec, grid, seed=2, size=result.size,
+        evaluate=make_model_evaluator(
+            d_train, eval1, spec, grid.weights, result.size, keep_fits=fresh_fits
+        ),
+    )
+    assert [p.to_dict() for p in result.level1] == [p.to_dict() for p in fresh]
+    kept = made[0]["keep_fits"]
+    assert kept.keys() == {(p.params, p.seed) for p in result.level0}
+    for key, fit in kept.items():
+        assert np.array_equal(fit, fresh_fits[key])  # the same fit, or failure
+
+
+# ---------------------------------------------------------------------------
 # mixed one-hot widths in one chunk
 
 CAT_SCHEMA = Schema(
