@@ -109,21 +109,6 @@ def fit_logistic_batch(
     return weights, intercepts, iterations
 
 
-def logistic_loss(
-    w: np.ndarray, b: float, x: np.ndarray, y: np.ndarray, l2: float
-) -> float:
-    z = x @ w + b
-    return float(np.mean(np.logaddexp(0.0, z) - y * z) + 0.5 * l2 * np.dot(w, w))
-
-
-def logistic_grad(
-    w: np.ndarray, b: float, x: np.ndarray, y: np.ndarray, l2: float
-) -> tuple[np.ndarray, float]:
-    residual = _sigmoid(x @ w + b) - y
-    grad_w = x.T @ residual / len(y) + l2 * w
-    return grad_w, float(residual.mean())
-
-
 class _GradientDescent(ParamsMixin):
     """Settings shared by the two linear models trained by descent."""
 
@@ -181,14 +166,6 @@ class LogisticRegression(_GradientDescent):
 
 # ---------------------------------------------------------------------------
 # linear SVM
-
-def hinge_loss(
-    w: np.ndarray, b: float, x: np.ndarray, y: np.ndarray, l2: float
-) -> float:
-    signed = 2.0 * y - 1.0
-    margin = signed * (x @ w + b)
-    return float(np.mean(np.maximum(0.0, 1.0 - margin)) + 0.5 * l2 * np.dot(w, w))
-
 
 def hinge_grad(
     w: np.ndarray, b: float, x: np.ndarray, y: np.ndarray, l2: float

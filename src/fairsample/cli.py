@@ -54,7 +54,6 @@ from .balance import (
     bound_at,
     check_restrictions,
     compute_plan,
-    materialize_sample,
     max_sample_size,
     preset_plan,
     quadrant_bounds,
@@ -78,6 +77,7 @@ from .search import (
     EvaluationPoint,
     GridSpec,
     full_search,
+    inspect_point,
     pareto_front,
 )
 
@@ -135,6 +135,14 @@ def _seed(value, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < 2**63:
         raise ConfigError(f"{where} must be an integer in [0, 2**63), got {value!r}")
     return value
+
+
+def _numbers(value, where: str) -> tuple[float, ...]:
+    if not isinstance(value, (list, tuple)) or not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
+    ):
+        raise ConfigError(f"{where} must be a list of numbers, got {value!r}")
+    return tuple(float(v) for v in value)
 
 
 def _schema_from(data: dict) -> Schema:
@@ -209,10 +217,10 @@ def load_config(path: str, seed: int | None = None, out: str | None = None) -> R
         schema = _schema_from(_mapping(data.get("schema"), "schema section"))
 
     split = _mapping(data.get("split"), "split section")
-    fractions = tuple(float(f) for f in split.get("fractions", (0.6, 0.2, 0.2)))
+    fractions = _numbers(split.get("fractions", (0.6, 0.2, 0.2)), "split.fractions")
     if len(fractions) < 2:
         raise ConfigError("split.fractions needs at least two parts")
-    if any(f <= 0 for f in fractions) or abs(sum(fractions) - 1.0) > 1e-9:
+    if not (all(f > 0 for f in fractions) and abs(sum(fractions) - 1.0) <= 1e-9):
         raise ConfigError(f"split.fractions must be positive and sum to 1, got {list(fractions)}")
     split_seed = _seed(split.get("seed", 0), "split.seed")
 
@@ -226,7 +234,7 @@ def load_config(path: str, seed: int | None = None, out: str | None = None) -> R
     grid_raw = _mapping(data.get("grid"), "grid section")
     try:
         if "thresholds" in grid_raw:
-            grid_raw = dict(grid_raw, thresholds=tuple(grid_raw["thresholds"]))
+            grid_raw = dict(grid_raw, thresholds=_numbers(grid_raw["thresholds"], "grid.thresholds"))
         grid = GridSpec(weights=weights, **grid_raw)
     except FairsampleError as exc:
         raise ConfigError(f"grid section: {exc}") from exc
@@ -493,23 +501,18 @@ def setups(config_path, seed, out_dir):
     rows = []
     for name in PRESET_NAMES:
         try:
-            resolved_plan = preset_plan(counts, name)
+            params = preset_plan(counts, name).params
             # each setup gets the largest sample its own targets allow
-            size = bound_at(counts, resolved_plan.params)
-            sample = materialize_sample(train, resolved_plan, size, cfg.seed)
+            size = bound_at(counts, params)
         except FairsampleError as exc:
             for label in cfg.labels:
                 rows.append([name, label, *_metric_cells(None), f"infeasible: {exc}"])
             continue
         for label, spec in zip(cfg.labels, cfg.classifiers):
-            try:
-                model = fit(spec, sample)
-                report = metric_report(
-                    predict_labels(model, held_out, BASELINE_THRESHOLD), cfg.weights
-                )
-                rows.append([name, label, *_metric_cells(report), ""])
-            except TrainingError as exc:
-                rows.append([name, label, *_metric_cells(None), str(exc)])
+            point = inspect_point(
+                train, held_out, params, spec, BASELINE_THRESHOLD, cfg.weights, size, cfg.seed
+            )
+            rows.append([name, label, *_metric_cells(point.report), point.error or ""])
     _ensure_out(cfg)
     table = os.path.join(cfg.out, "setups.csv")
     _write_table(table, ("setup", "classifier", *TABLE_COLUMNS, "note"), rows)
@@ -627,6 +630,58 @@ def search(config_path, seed, out_dir):
         )
 
 
+# what pins a stored optimum: spec, knobs, threshold, sample size and seed
+StoredOptimum = tuple[ClassifierSpec, BalanceParams, float, int, int]
+
+
+def _stored(entry: dict, key: str, kinds: tuple[type, ...]) -> Any:
+    value = entry[key]
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise TypeError(f"{key} has the wrong type: {value!r}")
+    return value
+
+
+def _stored_optima(path: str) -> list[tuple[Any, StoredOptimum | None]]:
+    """(label, optimum) per classifier of a search_state.json; the
+    optimum is None where the search found no valid point. A file that
+    does not hold what search writes is an InputError."""
+    try:
+        with open(path) as fh:
+            state = json.load(fh)
+    except OSError as exc:
+        raise InputError(f"cannot read results {path!r}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise InputError(f"results {path!r} are not valid JSON: {exc}") from exc
+    entries = state.get("classifiers", []) if isinstance(state, dict) else None
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise InputError(f"results {path!r} must map classifiers to a list of entries")
+    optima: list[tuple[Any, StoredOptimum | None]] = []
+    for entry in entries:
+        label = entry.get("label", "?")
+        if not entry.get("valid"):
+            optima.append((label, None))
+            continue
+        where = f"results {path!r}, classifier {label!r}"
+        try:
+            spec = ClassifierSpec.from_dict(entry["spec"])
+            build_estimator(spec)
+            params = BalanceParams(
+                *(_stored(entry, k, (int, float)) for k in ("alpha", "beta", "gamma"))
+            )
+            threshold = float(_stored(entry, "threshold", (int, float)))
+            size, sample_seed = (_stored(entry, k, (int,)) for k in ("size", "seed"))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"{where} is malformed: {exc!r}") from exc
+        except InputError as exc:
+            raise InputError(f"{where}: {exc}") from exc
+        if not (0.0 < threshold < 1.0 and size >= 1 and sample_seed >= 0):
+            raise InputError(
+                f"{where} is out of range: threshold {threshold}, size {size}, seed {sample_seed}"
+            )
+        optima.append((label, (spec, params, threshold, size, sample_seed)))
+    return optima
+
+
 @main.command()
 @_common
 @click.option("--results", "results_path", default=None,
@@ -639,44 +694,34 @@ def report(config_path, seed, out_dir, results_path, test_path):
     cfg = load_config(config_path, seed=seed, out=out_dir)
     if results_path is None:
         results_path = os.path.join(cfg.out, "search_state.json")
-    try:
-        with open(results_path) as fh:
-            state = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read results {results_path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"results {results_path!r} are not valid JSON: {exc}") from exc
-
+    optima = _stored_optima(results_path)
     try:
         larger = load_csv(test_path, cfg.effective_schema)
     except OSError as exc:
         raise InputError(f"cannot read test collection {test_path!r}: {exc}") from exc
     train = _splits(cfg, 2)[0]
-    counts = quadrant_counts(train)
 
     rows = []
-    for entry in state.get("classifiers", []):
-        label = entry.get("label", "?")
-        if not entry.get("valid"):
+    for label, optimum in optima:
+        if optimum is None:
             rows.append([label, "NaN", "NaN", "NaN", "NaN", *_metric_cells(None), "no valid points"])
             continue
-        spec = ClassifierSpec.from_dict(entry["spec"])
-        params = BalanceParams(entry["alpha"], entry["beta"], entry["gamma"])
-        # the stored seed and size pin the exact training sample
-        resolved_plan = compute_plan(counts, params)
-        sample = materialize_sample(train, resolved_plan, int(entry["size"]), int(entry["seed"]))
-        model = fit(spec, sample)
-        rep = metric_report(
-            predict_labels(model, larger, float(entry["threshold"])), cfg.weights
+        spec, params, threshold, size, sample_seed = optimum
+        # the stored seed and size pin the exact training sample, and
+        # search's own evaluator trains and scores it
+        point = inspect_point(
+            train, larger, params, spec, threshold, cfg.weights, size, sample_seed
         )
+        if point.report is None:
+            raise FairsampleError(f"cannot retrain the stored optimum of {label}: {point.error}")
         rows.append(
             [
                 label,
                 f"{params.alpha:.2f}",
                 f"{params.beta:.2f}",
                 f"{params.gamma:.2f}",
-                f"{float(entry['threshold']):.2f}",
-                *_metric_cells(rep),
+                f"{threshold:.2f}",
+                *_metric_cells(point.report),
                 "",
             ]
         )

@@ -41,7 +41,7 @@ from .classifiers import (
     ClassifierSpec,
     LogisticRegression,
     _sigmoid as _sigmoid_scores,
-    build_estimator,
+    fit,
     fit_logistic_batch,
 )
 from .dataset import Dataset, FeaturePipeline, quadrant_counts
@@ -85,7 +85,7 @@ class GridSpec:
         if not self.thresholds:
             raise InputError("threshold grid is empty")
         ordered = tuple(sorted(set(float(t) for t in self.thresholds)))
-        if ordered[0] <= 0.0 or ordered[-1] >= 1.0:
+        if not all(0.0 < t < 1.0 for t in ordered):
             raise InputError("thresholds must lie strictly inside (0, 1)")
         object.__setattr__(self, "thresholds", ordered)
 
@@ -453,7 +453,7 @@ def make_model_evaluator(
 
     Logistic specs, numeric or categorical, run through the batched
     descent kernel in fixed chunks (see _batched_logistic); every other
-    kind draws its sample, fits a FeaturePipeline and trains per task.
+    kind draws its sample and trains it through classifiers.fit per task.
     Chunking is a memory knob only, results do not depend on it.
 
     For logistic specs, keep_fits collects each task's fit and
@@ -477,19 +477,12 @@ def make_model_evaluator(
         for task in tasks:
             params, _, seed = task
             try:
-                plan = compute_plan(counts, params)
-                sample = materialize_sample(d_train, plan, size, seed)
-                pipeline = FeaturePipeline().fit(sample)
-                x = pipeline.transform(sample)
-                y = sample.unfavourable.astype(float)
-                if not (np.any(y == 1.0) and np.any(y == 0.0)):
-                    raise TrainingError("training data contains a single label value")
-                estimator = build_estimator(spec, pipeline.categorical_blocks())
-                estimator.fit(x, y)
+                sample = materialize_sample(d_train, compute_plan(counts, params), size, seed)
+                model = fit(spec, sample)
             except (InfeasibleError, TrainingError) as exc:
                 out.append(_invalid_point(task, spec.kind, size, str(exc)))
                 continue
-            scores = np.asarray(estimator.predict_scores(pipeline.transform(d_eval)))
+            scores = np.asarray(model.predict_scores(d_eval))
             out.extend(sweep.points([task], scores[:, None], spec.kind, size))
         return out
 

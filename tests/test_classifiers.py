@@ -14,15 +14,13 @@ from fairsample.classifiers import (
     LogisticRegression,
     RandomForest,
     TrainedModel,
+    _sigmoid,
     build_estimator,
     classifier_kinds,
     fit,
     fit_logistic_batch,
     hinge_grad,
-    hinge_loss,
     load_external_scores,
-    logistic_grad,
-    logistic_loss,
     predict_labels,
     register_kind,
 )
@@ -42,6 +40,23 @@ def accuracy(model, d, threshold=0.5):
 
 # ---------------------------------------------------------------------------
 # gradient correctness
+
+def logistic_loss(w, b, x, y, l2):
+    z = x @ w + b
+    return float(np.mean(np.logaddexp(0.0, z) - y * z) + 0.5 * l2 * np.dot(w, w))
+
+
+def logistic_grad(w, b, x, y, l2):
+    residual = _sigmoid(x @ w + b) - y
+    grad_w = x.T @ residual / len(y) + l2 * w
+    return grad_w, float(residual.mean())
+
+
+def hinge_loss(w, b, x, y, l2):
+    signed = 2.0 * y - 1.0
+    margin = signed * (x @ w + b)
+    return float(np.mean(np.maximum(0.0, 1.0 - margin)) + 0.5 * l2 * np.dot(w, w))
+
 
 def finite_diff(loss_fn, w, b, x, y, l2, h=1e-6):
     grad_w = np.empty_like(w)

@@ -109,6 +109,36 @@ def test_config_rejections(tmp_path):
         ),
         (
             "dataset: {synthetic: {quadrants: [10, 10, 10, 10]}}\n"
+            "split: {fractions: [a, b]}\n",
+            "split.fractions",
+        ),
+        (
+            "dataset: {synthetic: {quadrants: [10, 10, 10, 10]}}\n"
+            "split: {fractions: ab}\n",
+            "split.fractions",
+        ),
+        (
+            "dataset: {synthetic: {quadrants: [10, 10, 10, 10]}}\n"
+            "split: {fractions: [.nan, 0.5, 0.5]}\n",
+            "sum to 1",
+        ),
+        (
+            "dataset: {synthetic: {quadrants: [10, 10, 10, 10]}}\n"
+            "grid: {thresholds: [x]}\n",
+            "grid.thresholds",
+        ),
+        (
+            "dataset: {synthetic: {quadrants: [10, 10, 10, 10]}}\n"
+            "grid: {thresholds: x}\n",
+            "grid.thresholds",
+        ),
+        (
+            "dataset: {synthetic: {quadrants: [10, 10, 10, 10]}}\n"
+            "grid: {thresholds: [0.5, .nan]}\n",
+            "strictly inside",
+        ),
+        (
+            "dataset: {synthetic: {quadrants: [10, 10, 10, 10]}}\n"
             "classifiers: []\n",
             "non-empty",
         ),
@@ -118,11 +148,13 @@ def test_config_rejections(tmp_path):
             "kind",
         ),
     ]
+    out = tmp_path / "never_written"
     for i, (body, fragment) in enumerate(checks):
-        cfg = write_config(tmp_path / f"bad{i}.yaml", body)
+        cfg = write_config(tmp_path / f"bad{i}.yaml", body + f"out: {out}\n")
         result = runner.invoke(main, ["baseline", "--config", cfg])
         assert result.exit_code == 2, (body, result.output)
         assert fragment in result.output
+        assert not out.exists()  # rejected before any work
 
     result = runner.invoke(main, ["baseline", "--config", str(tmp_path / "missing.yaml")])
     assert result.exit_code == 2
@@ -631,6 +663,65 @@ def test_report_missing_results_is_an_input_error(tmp_path):
     result = runner.invoke(main, ["report", "--config", cfg, "--test", str(test_csv)])
     assert result.exit_code == 3
     assert "results" in result.output
+
+
+def first_entry(state, drop=None, **changes):
+    """The state's first classifier entry alone, less drop, with changes."""
+    entry = {k: v for k, v in state["classifiers"][0].items() if k != drop}
+    return {"classifiers": [dict(entry, **changes)]}
+
+
+@pytest.mark.parametrize(
+    "damage,fragment",
+    [
+        pytest.param(lambda s: s["classifiers"], "must map classifiers", id="list_document"),
+        pytest.param(lambda s: {"classifiers": "logistic"}, "must map classifiers", id="string_list"),
+        pytest.param(lambda s: {"classifiers": [1, 2]}, "must map classifiers", id="number_entries"),
+        pytest.param(lambda s: first_entry(s, drop="alpha"), "alpha", id="missing_alpha"),
+        pytest.param(lambda s: first_entry(s, drop="spec"), "spec", id="missing_spec"),
+        pytest.param(lambda s: first_entry(s, size="88"), "size", id="string_size"),
+        pytest.param(lambda s: first_entry(s, seed=1.5), "seed", id="float_seed"),
+        pytest.param(lambda s: first_entry(s, seed=-1), "seed", id="negative_seed"),
+        pytest.param(lambda s: first_entry(s, beta=True), "beta", id="bool_beta"),
+        pytest.param(lambda s: first_entry(s, gamma=1.5), "gamma", id="gamma_above_one"),
+        pytest.param(lambda s: first_entry(s, threshold=1.0), "threshold", id="threshold_one"),
+        pytest.param(lambda s: first_entry(s, spec="logistic"), "is malformed", id="string_spec"),
+        pytest.param(
+            lambda s: first_entry(s, spec={"kind": "no_such"}),
+            "unknown classifier kind",
+            id="unknown_kind",
+        ),
+        pytest.param(
+            lambda s: first_entry(s, spec={"kind": "logistic", "params": {"bogus": 1}}),
+            "bogus",
+            id="unknown_param",
+        ),
+        pytest.param(
+            lambda s: first_entry(s, spec={"kind": "forest", "params": {"n_trees": 0}}),
+            "n_trees",
+            id="bad_param",
+        ),
+    ],
+)
+def test_report_malformed_results_are_input_errors(search_run, tmp_path, damage, fragment):
+    cfg, out, _ = search_run
+    state = json.loads((out / "search_state.json").read_text())
+    broken = tmp_path / "broken_state.json"
+    broken.write_text(json.dumps(damage(state)))
+    test_csv = tmp_path / "t.csv"
+    write_csv(generate_synthetic(SyntheticSpec(quadrants=(20, 10, 10, 10)), seed=1), str(test_csv))
+    report_out = tmp_path / "report_out"
+    result = runner.invoke(
+        main,
+        [
+            "report", "--config", cfg, "--out", str(report_out),
+            "--results", str(broken), "--test", str(test_csv),
+        ],
+    )
+    assert result.exit_code == 3, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert fragment in result.output
+    assert not report_out.exists()  # rejected before any work
 
 
 def test_report_schema_mismatch_is_an_input_error(search_run, tmp_path):

@@ -811,6 +811,29 @@ def test_full_search_fits_each_lattice_point_once(corpus, monkeypatch):
         assert np.array_equal(fit, fresh_fits[key])  # the same fit, or failure
 
 
+@pytest.mark.parametrize("corpus", ["numeric", "categorical"])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ClassifierSpec(kind="logistic", params={}),
+        ClassifierSpec(kind="forest", params={"n_trees": 4}, seed=5),
+    ],
+    ids=["logistic", "forest"],
+)
+def test_inspect_point_rebuilds_the_search_optimum_exactly(corpus, spec):
+    # report re-scores a stored optimum through inspect_point, so on the
+    # level-1 split it must return the very point search selected
+    d_train, eval0, eval1 = REUSE_CORPORA[corpus]
+    result = full_search(d_train, eval0, eval1, spec, SMALL_GRID, seed=4)
+    best = result.best
+    assert best is not None
+    again = inspect_point(
+        d_train, eval1, best.params, spec, best.threshold, SMALL_GRID.weights,
+        best.size, best.seed,
+    )
+    assert again.to_dict() == best.to_dict()
+
+
 # ---------------------------------------------------------------------------
 # mixed one-hot widths in one chunk
 
