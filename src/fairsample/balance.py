@@ -15,12 +15,11 @@ tolerance games.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .base import InfeasibleError, InputError, PlanError
+from .base import InfeasibleError, InputError, PlanError, check_number
 from .dataset import Dataset, QuadrantCounts, QUADRANT_NAMES
 
 
@@ -33,10 +32,12 @@ class BalanceParams:
     gamma: float
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "gamma"):
-            v = float(getattr(self, name))
-            if math.isnan(v) or not 0.0 <= v <= 1.0:
-                raise PlanError(f"{name} must lie in [0, 1], got {getattr(self, name)!r}")
+        try:
+            check_number(self.alpha, "alpha", 0.0, 1.0)
+            check_number(self.beta, "beta", 0.0, 1.0)
+            check_number(self.gamma, "gamma", 0.0, 1.0)
+        except InputError as exc:
+            raise PlanError(str(exc)) from None
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.alpha, self.beta, self.gamma)
@@ -198,9 +199,7 @@ def bound_at(c: QuadrantCounts, params: BalanceParams) -> int:
 
 
 def _lattice_denominator(step: float, name: str = "lattice step") -> int:
-    if not 0 < step <= 1:
-        raise InputError(f"{name} must lie in (0, 1], got {step!r}")
-    n = round(1.0 / step)
+    n = round(1.0 / check_number(step, name, 0.0, 1.0, "(]"))
     if abs(n * step - 1.0) > 1e-9:
         raise InputError(f"{name} {step!r} does not divide 1 evenly")
     return n

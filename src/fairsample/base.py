@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import inspect
+import math
 from typing import Any
 
 import numpy as np
@@ -74,6 +75,39 @@ class ParamsMixin:
                 raise InputError(f"unknown parameter {name!r} for {type(self).__name__}")
             setattr(self, name, value)
         return self
+
+
+def check_int(value: Any, name: str, least: int = 0, bits: int = 63) -> int:
+    """An integer in [least, 2**bits); the default is the signed 64-bit
+    range that numpy's seeds and counts take. Bools and other types are
+    rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not least <= value < 2**bits:
+        raise InputError(f"{name} must be an integer in [{least}, 2**{bits}), got {value!r}")
+    return int(value)
+
+
+_NUMBER = (int, float, np.integer, np.floating)
+
+
+def check_number(
+    value: Any, name: str, low: float = -math.inf, high: float = math.inf, ends: str = "[]"
+) -> float:
+    """A finite number between low and high, as a float; ends holds the
+    interval's brackets, "(" or ")" for an open end. Bools, other types,
+    NaN, inf and ints too large for a float are rejected."""
+    try:
+        number = float(value) if isinstance(value, _NUMBER) and not isinstance(value, bool) else math.nan
+    except OverflowError:
+        number = math.nan
+    if not (
+        math.isfinite(number)
+        and (low < number if ends[0] == "(" else low <= number)
+        and (number < high if ends[1] == ")" else number <= high)
+    ):
+        raise InputError(
+            f"{name} must be a finite number in {ends[0]}{low:g}, {high:g}{ends[1]}, got {value!r}"
+        )
+    return number
 
 
 def check_fitted(est: Any, attr: str) -> None:

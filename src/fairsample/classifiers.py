@@ -27,6 +27,8 @@ from .base import (
     as_float_matrix,
     as_label_vector,
     check_fitted,
+    check_int,
+    check_number,
 )
 from .dataset import Dataset, FeaturePipeline
 from .metrics import GroupedPredictions
@@ -126,18 +128,10 @@ class _GradientDescent(ParamsMixin):
         self._check_params()
 
     def _check_params(self) -> None:
-        for name, rule in (("learning_rate", "> 0"), ("l2", ">= 0"), ("tol", ">= 0")):
-            value = getattr(self, name)
-            if (
-                isinstance(value, bool)
-                or not isinstance(value, (int, float, np.integer, np.floating))
-                or not np.isfinite(value)
-                or not (value > 0 if rule == "> 0" else value >= 0)
-            ):
-                raise InputError(f"{name} must be a finite number {rule}, got {value!r}")
-        value = self.max_iter
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-            raise InputError(f"max_iter must be an integer >= 1, got {value!r}")
+        check_number(self.learning_rate, "learning_rate", 0.0, ends="()")
+        check_number(self.l2, "l2", 0.0, ends="[)")
+        check_number(self.tol, "tol", 0.0, ends="[)")
+        check_int(self.max_iter, "max_iter", 1)
 
 
 class LogisticRegression(_GradientDescent):
@@ -234,6 +228,11 @@ class GaussianNaiveBayes(ParamsMixin):
     ):
         self.var_smoothing = var_smoothing
         self.categorical_blocks = tuple(tuple(b) for b in categorical_blocks)
+        self._check_params()
+
+    def _check_params(self) -> None:
+        # numeric columns arrive at unit variance; a floor above 1 swamps them
+        check_number(self.var_smoothing, "var_smoothing", 0.0, 1.0)
 
     def _block_outcomes(self, x: np.ndarray, start: int, stop: int) -> np.ndarray:
         block = x[:, start:stop]
@@ -244,6 +243,7 @@ class GaussianNaiveBayes(ParamsMixin):
         return out
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "GaussianNaiveBayes":
+        self._check_params()
         x = as_float_matrix(x)
         y = as_label_vector(y, len(x))
         _require_two_classes(y)
@@ -361,10 +361,9 @@ class RandomForest(ParamsMixin):
         self._check_params()
 
     def _check_params(self) -> None:
-        for name, least in (("n_trees", 1), ("max_depth", 0), ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-                raise InputError(f"{name} must be an integer >= {least}, got {value!r}")
+        check_int(self.n_trees, "n_trees", 1)
+        check_int(self.max_depth, "max_depth")
+        check_int(self.seed, "seed")
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "RandomForest":
         self._check_params()
@@ -413,14 +412,6 @@ class ClassifierSpec:
 
     def to_dict(self) -> dict[str, Any]:
         return {"kind": self.kind, "params": dict(self.params), "seed": self.seed}
-
-    @staticmethod
-    def from_dict(data: dict[str, Any]) -> "ClassifierSpec":
-        return ClassifierSpec(
-            kind=str(data["kind"]),
-            params=dict(data.get("params", {})),
-            seed=int(data.get("seed", 0)),
-        )
 
 
 ClassifierFactory = Callable[[dict, int, tuple[tuple[int, int], ...]], Any]
@@ -492,8 +483,7 @@ def predict_labels(model, d: Dataset, threshold: float) -> GroupedPredictions:
     A row is called unfavourable when its score reaches the threshold.
     Works for any object with predict_scores(dataset).
     """
-    if not 0.0 < threshold < 1.0:
-        raise InputError(f"threshold must lie inside (0, 1), got {threshold}")
+    check_number(threshold, "threshold", 0.0, 1.0, "()")
     scores = np.asarray(model.predict_scores(d), dtype=float)
     if scores.shape != (len(d),):
         raise InputError("scores length does not match the dataset")

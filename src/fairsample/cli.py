@@ -38,6 +38,7 @@ problem.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import json
@@ -58,7 +59,7 @@ from .balance import (
     preset_plan,
     quadrant_bounds,
 )
-from .base import ConfigError, FairsampleError, InputError, TrainingError
+from .base import ConfigError, FairsampleError, InputError, TrainingError, check_int, check_number
 from .classifiers import ClassifierSpec, build_estimator, fit, predict_labels
 from .dataset import (
     Dataset,
@@ -69,6 +70,7 @@ from .dataset import (
     generate_synthetic,
     load_csv,
     quadrant_counts,
+    split_fractions,
     stratified_split,
     write_csv,
 )
@@ -79,6 +81,7 @@ from .search import (
     full_search,
     inspect_point,
     pareto_front,
+    threshold_grid,
 )
 
 BASELINE_THRESHOLD = 0.5  # untuned tables fix the decision rule
@@ -111,7 +114,6 @@ class RunConfig:
     grid: GridSpec
     classifiers: tuple[ClassifierSpec, ...]
     labels: tuple[str, ...]
-    weights: LossWeights
     out: str
     seed: int
     resolved: dict[str, Any]
@@ -129,45 +131,48 @@ def _mapping(value, where: str) -> dict:
     return value
 
 
-def _seed(value, where: str) -> int:
-    """A seed as numpy's generators take it and point_seed packs it
-    (signed 64-bit): an integer in [0, 2**63)."""
-    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < 2**63:
-        raise ConfigError(f"{where} must be an integer in [0, 2**63), got {value!r}")
+def _path(value, where: str) -> str:
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{where} must be a path, got {value!r}")
     return value
 
 
-def _numbers(value, where: str) -> tuple[float, ...]:
-    if not isinstance(value, (list, tuple)) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
-    ):
-        raise ConfigError(f"{where} must be a list of numbers, got {value!r}")
-    return tuple(float(v) for v in value)
+@contextlib.contextmanager
+def _section(where: str | None = None):
+    """Turn a value the program rejects into a ConfigError, prefixed by
+    where when the message alone does not say which part of the config
+    holds it."""
+    try:
+        yield
+    except (FairsampleError, TypeError) as exc:
+        raise ConfigError(str(exc) if where is None else f"{where}: {exc}") from exc
 
 
 def _schema_from(data: dict) -> Schema:
-    try:
-        features = tuple(
-            FeatureSpec(str(f["name"]), str(f["kind"]))
-            for f in data.get("features", ())
-        )
-        kwargs: dict[str, Any] = {}
-        if "privileged_value" in data:
-            kwargs["privileged_value"] = str(data["privileged_value"])
-        if "privileged_min" in data:
-            kwargs["privileged_min"] = float(data["privileged_min"])
-        return Schema(
-            features=features,
-            label=str(data["label"]),
-            favourable=str(data["favourable"]),
-            unfavourable=str(data["unfavourable"]),
-            sensitive=str(data["sensitive"]),
-            **kwargs,
-        )
-    except FairsampleError as exc:
-        raise ConfigError(f"schema section: {exc}") from exc
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"schema section is malformed: {exc!r}") from exc
+    # column names and cell values are CSV text, so YAML scalars are
+    # read as text; Schema checks privileged_min itself
+    fields = {k: v if k == "privileged_min" else str(v) for k, v in data.items() if k != "features"}
+    features = tuple(
+        FeatureSpec(**{k: str(v) for k, v in _mapping(f, "schema feature").items()})
+        for f in data.get("features", ())
+    )
+    return Schema(features=features, **fields)
+
+
+def _classifier(entry: Any, default_seed: int) -> ClassifierSpec:
+    """A classifier entry of a config or a results file, checked by
+    building its estimator."""
+    if not isinstance(entry, dict):
+        raise TypeError(f"a classifier entry must be a mapping, got {entry!r}")
+    kind = entry.get("kind")
+    params = {} if entry.get("params") is None else entry["params"]
+    if not isinstance(kind, str):
+        raise InputError(f"kind must be a string, got {kind!r}")
+    if not isinstance(params, dict):
+        raise InputError(f"params must be a mapping, got {params!r}")
+    spec = ClassifierSpec(kind, dict(params), check_int(entry.get("seed", default_seed), "classifier seed"))
+    build_estimator(spec)
+    return spec
 
 
 def _classifier_labels(specs: tuple[ClassifierSpec, ...]) -> tuple[str, ...]:
@@ -196,73 +201,43 @@ def load_config(path: str, seed: int | None = None, out: str | None = None) -> R
     synth_raw = dataset.get("synthetic")
     if (csv_path is None) == (synth_raw is None):
         raise ConfigError("dataset section needs exactly one of csv / synthetic")
-    synthetic = None
+    synthetic = schema = None
     if synth_raw is not None:
         synth = _mapping(synth_raw, "dataset.synthetic")
-        try:
-            synthetic = SyntheticSpec(
-                quadrants=tuple(synth["quadrants"]),
-                bias=float(synth.get("bias", 1.0)),
-                noise=float(synth.get("noise", 1.0)),
-            )
-        except FairsampleError as exc:
-            raise ConfigError(f"dataset.synthetic: {exc}") from exc
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"dataset.synthetic is malformed: {exc!r}") from exc
-
-    schema = None
-    if csv_path is not None:
+        with _section("dataset.synthetic"):
+            synthetic = SyntheticSpec(**synth)
+    else:
+        _path(csv_path, "dataset.csv")
         if "schema" not in data:
             raise ConfigError("csv datasets need a schema section")
-        schema = _schema_from(_mapping(data.get("schema"), "schema section"))
+        schema_raw = _mapping(data.get("schema"), "schema section")
+        with _section("schema"):
+            schema = _schema_from(schema_raw)
 
     split = _mapping(data.get("split"), "split section")
-    fractions = _numbers(split.get("fractions", (0.6, 0.2, 0.2)), "split.fractions")
-    if len(fractions) < 2:
-        raise ConfigError("split.fractions needs at least two parts")
-    if not (all(f > 0 for f in fractions) and abs(sum(fractions) - 1.0) <= 1e-9):
-        raise ConfigError(f"split.fractions must be positive and sum to 1, got {list(fractions)}")
-    split_seed = _seed(split.get("seed", 0), "split.seed")
-
-    try:
-        weights = LossWeights(**_mapping(data.get("weights"), "weights section"))
-    except FairsampleError as exc:
-        raise ConfigError(f"weights section: {exc}") from exc
-    except TypeError as exc:
-        raise ConfigError(f"weights section is malformed: {exc!r}") from exc
-
     grid_raw = _mapping(data.get("grid"), "grid section")
-    try:
+    weights_raw = _mapping(data.get("weights"), "weights section")
+    with _section():
+        fractions = split_fractions(split.get("fractions", [0.6, 0.2, 0.2]), "split.fractions")
+        split_seed = check_int(split.get("seed", 0), "split.seed")
+        run_seed = check_int(data.get("seed", 0) if seed is None else seed, "seed")
         if "thresholds" in grid_raw:
-            grid_raw = dict(grid_raw, thresholds=_numbers(grid_raw["thresholds"], "grid.thresholds"))
+            grid_raw = dict(grid_raw, thresholds=threshold_grid(grid_raw["thresholds"], "grid.thresholds"))
+    with _section("weights"):
+        weights = LossWeights(**weights_raw)
+    with _section("grid"):
         grid = GridSpec(weights=weights, **grid_raw)
-    except FairsampleError as exc:
-        raise ConfigError(f"grid section: {exc}") from exc
-    except TypeError as exc:
-        raise ConfigError(f"grid section is malformed: {exc!r}") from exc
 
-    run_seed = _seed(data.get("seed", 0) if seed is None else seed, "seed")
     entries = data.get("classifiers", [{"kind": "logistic"}])
     if not isinstance(entries, list) or not entries:
         raise ConfigError("classifiers must be a non-empty list")
     specs = []
-    for entry in entries:
-        e = _mapping(entry, "classifier entry")
-        if "kind" not in e:
-            raise ConfigError("every classifier entry needs a kind")
-        spec = ClassifierSpec(
-            kind=str(e["kind"]),
-            params=dict(_mapping(e.get("params"), "classifier params")),
-            seed=_seed(e.get("seed", run_seed), "classifier seed"),
-        )
-        try:
-            build_estimator(spec)
-        except (InputError, TypeError) as exc:
-            raise ConfigError(f"classifier {spec.kind!r}: {exc}") from exc
-        specs.append(spec)
+    for i, entry in enumerate(entries):
+        with _section(f"classifiers[{i}]"):
+            specs.append(_classifier(entry, run_seed))
     classifiers = tuple(specs)
 
-    out_dir = str(data.get("out", "out")) if out is None else str(out)
+    out_dir = _path(data.get("out", "out"), "out") if out is None else str(out)
 
     resolved = {
         "dataset": {"csv": csv_path} if csv_path is not None else {
@@ -303,7 +278,6 @@ def load_config(path: str, seed: int | None = None, out: str | None = None) -> R
         grid=grid,
         classifiers=classifiers,
         labels=_classifier_labels(classifiers),
-        weights=weights,
         out=out_dir,
         seed=run_seed,
         resolved=resolved,
@@ -477,7 +451,7 @@ def baseline(config_path, seed, out_dir):
         try:
             model = fit(spec, train)
             report = metric_report(
-                predict_labels(model, held_out, BASELINE_THRESHOLD), cfg.weights
+                predict_labels(model, held_out, BASELINE_THRESHOLD), cfg.grid.weights
             )
             rows.append([label, *_metric_cells(report), ""])
         except TrainingError as exc:
@@ -510,7 +484,7 @@ def setups(config_path, seed, out_dir):
             continue
         for label, spec in zip(cfg.labels, cfg.classifiers):
             point = inspect_point(
-                train, held_out, params, spec, BASELINE_THRESHOLD, cfg.weights, size, cfg.seed
+                train, held_out, params, spec, BASELINE_THRESHOLD, cfg.grid.weights, size, cfg.seed
             )
             rows.append([name, label, *_metric_cells(point.report), point.error or ""])
     _ensure_out(cfg)
@@ -630,21 +604,10 @@ def search(config_path, seed, out_dir):
         )
 
 
-# what pins a stored optimum: spec, knobs, threshold, sample size and seed
-StoredOptimum = tuple[ClassifierSpec, BalanceParams, float, int, int]
-
-
-def _stored(entry: dict, key: str, kinds: tuple[type, ...]) -> Any:
-    value = entry[key]
-    if isinstance(value, bool) or not isinstance(value, kinds):
-        raise TypeError(f"{key} has the wrong type: {value!r}")
-    return value
-
-
-def _stored_optima(path: str) -> list[tuple[Any, StoredOptimum | None]]:
-    """(label, optimum) per classifier of a search_state.json; the
-    optimum is None where the search found no valid point. A file that
-    does not hold what search writes is an InputError."""
+def _stored_optima(path: str) -> list[tuple[Any, tuple | None]]:
+    """(label, optimum) per entry of a search_state.json: (spec, knobs,
+    threshold, sample size, sample seed), or None where the search found
+    no valid point. A file unlike what search writes is an InputError."""
     try:
         with open(path) as fh:
             state = json.load(fh)
@@ -655,7 +618,7 @@ def _stored_optima(path: str) -> list[tuple[Any, StoredOptimum | None]]:
     entries = state.get("classifiers", []) if isinstance(state, dict) else None
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
         raise InputError(f"results {path!r} must map classifiers to a list of entries")
-    optima: list[tuple[Any, StoredOptimum | None]] = []
+    optima: list[tuple[Any, tuple | None]] = []
     for entry in entries:
         label = entry.get("label", "?")
         if not entry.get("valid"):
@@ -663,21 +626,15 @@ def _stored_optima(path: str) -> list[tuple[Any, StoredOptimum | None]]:
             continue
         where = f"results {path!r}, classifier {label!r}"
         try:
-            spec = ClassifierSpec.from_dict(entry["spec"])
-            build_estimator(spec)
-            params = BalanceParams(
-                *(_stored(entry, k, (int, float)) for k in ("alpha", "beta", "gamma"))
-            )
-            threshold = float(_stored(entry, "threshold", (int, float)))
-            size, sample_seed = (_stored(entry, k, (int,)) for k in ("size", "seed"))
-        except (KeyError, TypeError, ValueError) as exc:
+            spec = _classifier(entry["spec"], 0)
+            params = BalanceParams(entry["alpha"], entry["beta"], entry["gamma"])
+            threshold = check_number(entry["threshold"], "threshold", 0.0, 1.0, "()")
+            size = check_int(entry["size"], "size", 1)
+            sample_seed = check_int(entry["seed"], "seed", bits=64)  # a point_seed
+        except (KeyError, TypeError) as exc:
             raise InputError(f"{where} is malformed: {exc!r}") from exc
         except InputError as exc:
             raise InputError(f"{where}: {exc}") from exc
-        if not (0.0 < threshold < 1.0 and size >= 1 and sample_seed >= 0):
-            raise InputError(
-                f"{where} is out of range: threshold {threshold}, size {size}, seed {sample_seed}"
-            )
         optima.append((label, (spec, params, threshold, size, sample_seed)))
     return optima
 
@@ -710,7 +667,7 @@ def report(config_path, seed, out_dir, results_path, test_path):
         # the stored seed and size pin the exact training sample, and
         # search's own evaluator trains and scores it
         point = inspect_point(
-            train, larger, params, spec, threshold, cfg.weights, size, sample_seed
+            train, larger, params, spec, threshold, cfg.grid.weights, size, sample_seed
         )
         if point.report is None:
             raise FairsampleError(f"cannot retrain the stored optimum of {label}: {point.error}")

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .base import InputError, ParamsMixin, RowError, SchemaError, check_fitted
+from .base import InputError, ParamsMixin, RowError, SchemaError, check_fitted, check_int, check_number
 
 FEATURE_KINDS = ("numeric", "categorical")
 
@@ -61,6 +61,8 @@ class Schema:
         given = (self.privileged_value is not None) + (self.privileged_min is not None)
         if given != 1:
             raise SchemaError("exactly one of privileged_value / privileged_min required")
+        if self.privileged_min is not None:
+            object.__setattr__(self, "privileged_min", check_number(self.privileged_min, "privileged_min"))
 
     @property
     def columns(self) -> tuple[str, ...]:
@@ -81,9 +83,8 @@ class QuadrantCounts:
     up_uf: int
 
     def __post_init__(self):
-        for name, v in zip(("p_f", "p_uf", "up_f", "up_uf"), self.as_tuple()):
-            if v < 0 or v != int(v):
-                raise InputError(f"quadrant count {name} must be a non-negative integer")
+        for name, v in zip(QUADRANT_NAMES, self.as_tuple()):
+            object.__setattr__(self, name, check_int(v, f"quadrant count {name}"))
 
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.p_f, self.p_uf, self.up_f, self.up_uf)
@@ -282,6 +283,21 @@ def write_csv(d: Dataset, path: str) -> None:
             writer.writerow(row)
 
 
+def split_fractions(fractions: Sequence[float], name: str = "split fractions") -> tuple[float, ...]:
+    """The parts stratified_split cuts: a list of two or more positive
+    numbers that sum to 1."""
+    fracs = fractions if isinstance(fractions, (list, tuple)) else ()
+    try:
+        fracs = tuple(check_number(f, name, 0.0, 1.0, "(]") for f in fracs)
+    except InputError:
+        fracs = ()
+    if len(fracs) < 2 or abs(sum(fracs) - 1.0) > 1e-9:
+        raise InputError(
+            f"{name} must be a list of two or more positive numbers that sum to 1, got {fractions!r}"
+        )
+    return fracs
+
+
 def stratified_split(
     d: Dataset, fractions: Sequence[float], seed: int
 ) -> tuple[Dataset, ...]:
@@ -292,14 +308,7 @@ def stratified_split(
     any leftover records go to the first part. The parts' index sets
     partition the input.
     """
-    fracs = [float(f) for f in fractions]
-    if len(fracs) < 2:
-        raise InputError("need at least two split fractions")
-    if any(f <= 0 for f in fracs):
-        raise InputError("split fractions must be positive")
-    if abs(sum(fracs) - 1.0) > 1e-9:
-        raise InputError(f"split fractions must sum to 1, got {sum(fracs)!r}")
-
+    fracs = split_fractions(fractions)
     rng = np.random.default_rng(seed)
     parts: list[list[np.ndarray]] = [[] for _ in fracs]
     for name in QUADRANT_NAMES:
@@ -357,16 +366,19 @@ class SyntheticSpec:
     noise: float = 1.0
 
     def __post_init__(self):
-        if len(self.quadrants) != 4 or any(int(q) != q or q < 0 for q in self.quadrants):
-            raise InputError("quadrants must be four non-negative integers")
-        if not 0.0 <= self.bias <= 1.0:
-            raise InputError("bias must lie in [0, 1]")
-        if not self.noise > 0:
-            raise InputError("noise must be positive")
+        try:
+            counts = QuadrantCounts(*self.quadrants)
+        except (InputError, TypeError):
+            raise InputError(
+                f"quadrants must be four non-negative integers, got {self.quadrants!r}"
+            ) from None
+        object.__setattr__(self, "quadrants", counts.as_tuple())
+        object.__setattr__(self, "bias", check_number(self.bias, "bias", 0.0, 1.0))
+        object.__setattr__(self, "noise", check_number(self.noise, "noise", 0.0, ends="()"))
 
     @property
     def counts(self) -> QuadrantCounts:
-        return QuadrantCounts(*[int(q) for q in self.quadrants])
+        return QuadrantCounts(*self.quadrants)
 
 
 def generate_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:

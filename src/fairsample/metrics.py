@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import InputError
+from .base import InputError, check_number
 
 DI_ACCEPTABLE = (0.8, 1.2)
 
@@ -118,8 +118,8 @@ class LossWeights:
     c_di: float = 1.0
 
     def __post_init__(self):
-        if self.c_mcc < 0 or self.c_di < 0:
-            raise InputError("loss weights must be non-negative")
+        check_number(self.c_mcc, "c_mcc", 0.0, ends="[)")
+        check_number(self.c_di, "c_di", 0.0, ends="[)")
         if self.c_mcc == 0 and self.c_di == 0:
             raise InputError("at least one loss weight must be positive")
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .balance import (
     max_sample_size,
     sample_indices,
 )
-from .base import InfeasibleError, InputError, SearchError, TrainingError
+from .base import InfeasibleError, InputError, SearchError, TrainingError, check_int, check_number
 from .classifiers import (
     ClassifierSpec,
     LogisticRegression,
@@ -62,6 +62,21 @@ Evaluator = Callable[[list[Task]], list["EvaluationPoint"]]
 Sink = Callable[["EvaluationPoint"], None]
 
 
+def threshold_grid(thresholds: Sequence[float], name: str = "thresholds") -> tuple[float, ...]:
+    """The decision thresholds a search sweeps: a non-empty list of
+    numbers strictly inside (0, 1), returned sorted without repeats."""
+    values = thresholds if isinstance(thresholds, (list, tuple)) else ()
+    try:
+        values = tuple(check_number(t, name, 0.0, 1.0, "()") for t in values)
+    except InputError:
+        values = ()
+    if not values:
+        raise InputError(
+            f"{name} must be a non-empty list of numbers strictly inside (0, 1), got {thresholds!r}"
+        )
+    return tuple(sorted(set(values)))
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Knobs of the two-level search."""
@@ -78,16 +93,10 @@ class GridSpec:
         fine = _lattice_denominator(self.level1_step, "level1_step")
         if fine % coarse != 0:
             raise InputError("level1_step must subdivide level0_step evenly")
-        if self.top_k < 1:
-            raise InputError(f"top_k must be at least 1, got {self.top_k}")
-        if self.neighborhood is not None and not 0.0 < self.neighborhood <= 1.0:
-            raise InputError(f"neighborhood must lie in (0, 1], got {self.neighborhood}")
-        if not self.thresholds:
-            raise InputError("threshold grid is empty")
-        ordered = tuple(sorted(set(float(t) for t in self.thresholds)))
-        if not all(0.0 < t < 1.0 for t in ordered):
-            raise InputError("thresholds must lie strictly inside (0, 1)")
-        object.__setattr__(self, "thresholds", ordered)
+        check_int(self.top_k, "top_k", 1)
+        if self.neighborhood is not None:
+            check_number(self.neighborhood, "neighborhood", 0.0, 1.0, "(]")
+        object.__setattr__(self, "thresholds", threshold_grid(self.thresholds))
 
     @property
     def fine_denominator(self) -> int:
@@ -461,10 +470,8 @@ def make_model_evaluator(
     recorded fit is valid only for the same training split, spec and
     size. Other kinds ignore both.
     """
-    if size < 1:
-        raise InputError(f"sample size must be positive, got {size}")
-    if chunk_size < 1:
-        raise InputError(f"chunk_size must be positive, got {chunk_size}")
+    check_int(size, "sample size", 1)
+    check_int(chunk_size, "chunk_size", 1)
     sweep = _ThresholdSweep(d_eval, weights)
     if spec.kind == "logistic":
         return _batched_logistic(

@@ -535,8 +535,3 @@ def test_external_scores_errors(tmp_path):
     model = ExternalScoreModel({1: 0.5})
     with pytest.raises(InputError, match="row id 2"):
         model.score_rows(np.array([2]))
-
-
-def test_classifier_spec_round_trip():
-    spec = ClassifierSpec("svm", {"l2": 0.01}, seed=9)
-    assert ClassifierSpec.from_dict(spec.to_dict()) == spec

@@ -5,6 +5,7 @@ expensive part happens once.
 """
 from __future__ import annotations
 
+import copy
 import csv
 import json
 import os
@@ -14,10 +15,12 @@ from textwrap import dedent
 
 import numpy as np
 import pytest
+import yaml
 from click.testing import CliRunner
 
 import fairsample
 from fairsample.balance import BalanceParams, compute_plan
+from fairsample.base import ConfigError
 from fairsample.classifiers import register_kind
 from fairsample.cli import TABLE_COLUMNS, load_config, main
 from fairsample.dataset import (
@@ -137,6 +140,34 @@ def test_config_rejections(tmp_path):
             "grid: {thresholds: [0.5, .nan]}\n",
             "strictly inside",
         ),
+        ("dataset: {synthetic: {quadrants: [10, .inf, 5, 5]}}\n", "non-negative"),
+        ("dataset: {synthetic: {quadrants: [10, 1e30, 5, 5]}}\n", "non-negative"),
+        ("dataset: {synthetic: {quadrants: [10, 10, 10, 10], noise: .inf}}\n", "noise"),
+        (
+            "dataset: {synthetic: {quadrants: [10, 10, 10, 10]}}\n"
+            "grid: {top_k: .nan}\n",
+            "top_k",
+        ),
+        (
+            "dataset: {synthetic: {quadrants: [10, 10, 10, 10]}}\n"
+            "grid: {top_k: .inf}\n",
+            "top_k",
+        ),
+        (
+            "dataset: {synthetic: {quadrants: [10, 10, 10, 10]}}\n"
+            "grid: {top_k: true}\n",
+            "top_k",
+        ),
+        (
+            "dataset: {synthetic: {quadrants: [10, 10, 10, 10]}}\n"
+            "weights: {c_mcc: .nan}\n",
+            "c_mcc",
+        ),
+        (
+            "dataset: {synthetic: {quadrants: [10, 10, 10, 10]}}\n"
+            "weights: {c_di: .inf}\n",
+            "c_di",
+        ),
         (
             "dataset: {synthetic: {quadrants: [10, 10, 10, 10]}}\n"
             "classifiers: []\n",
@@ -199,6 +230,11 @@ def test_schema_without_features_is_a_config_error(tmp_path):
         ("{kind: logistic, params: {max_iter: 0}}", "max_iter"),
         ("{kind: svm, params: {max_iter: -5}}", "max_iter"),
         ("{kind: svm, params: {l2: .nan}}", "l2"),
+        ("{kind: forest, params: {n_trees: 1e30}}", "n_trees"),
+        *(
+            (f"{{kind: naive_bayes, params: {{var_smoothing: {value}}}}}", "var_smoothing")
+            for value in ("s", "null", "{a: 1}", ".nan", "-1", "1e30", "true", "[1]")
+        ),
     ],
 )
 def test_bad_classifier_entries_are_config_errors(tmp_path, classifier, fragment):
@@ -242,6 +278,75 @@ def test_bad_seeds_are_config_errors(tmp_path, section, flags, fragment):
     assert result.exit_code == 2, result.output
     assert fragment in result.output
     assert not out.exists()  # rejected before any work
+
+
+SCAN_CONFIG = {
+    "dataset": {"synthetic": {"quadrants": [520, 60, 130, 40], "bias": 1.0, "noise": 1.0}},
+    "split": {"fractions": [0.6, 0.2, 0.2], "seed": 3},
+    "grid": {
+        "level0_step": 0.5,
+        "level1_step": 0.25,
+        "top_k": 2,
+        "neighborhood": 0.25,
+        "thresholds": [0.25, 0.5, 0.75],
+    },
+    "weights": {"c_mcc": 1.0, "c_di": 1.0},
+    "classifiers": [
+        {
+            "kind": "logistic",
+            "params": {"learning_rate": 0.1, "l2": 1e-4, "max_iter": 50, "tol": 1e-6},
+            "seed": 1,
+        },
+        {"kind": "forest", "params": {"n_trees": 4, "max_depth": 3}, "seed": 2},
+        {"kind": "naive_bayes", "params": {"var_smoothing": 1e-9}},
+    ],
+    "out": "scan_out",
+    "seed": 0,
+}
+SCAN_VALUES = ("s", None, True, [1], {"a": 1}, float("nan"), float("inf"), -1, 10**30, 0)
+
+
+def config_keys(node, path=()):
+    """The path to every mapping key and list entry below node."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield path + (key,)
+        yield from config_keys(child, path + (key,))
+
+
+def test_no_config_value_escapes_the_checks(tmp_path, monkeypatch):
+    # each key of a valid config takes each kind of bad value in turn;
+    # what loads must still run plan without a traceback
+    monkeypatch.chdir(tmp_path)  # a config that loads writes under its out
+    escapes, loaded = [], 0
+    for path in config_keys(SCAN_CONFIG):
+        for value in SCAN_VALUES:
+            data = copy.deepcopy(SCAN_CONFIG)
+            node = data
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+            cfg = write_config(tmp_path / "scan.yaml", yaml.safe_dump(data))
+            try:
+                load_config(cfg)
+            except ConfigError:
+                continue
+            except Exception as exc:  # any other exception is an escape
+                escapes.append((path, value, "load_config", repr(exc)))
+                continue
+            loaded += 1
+            result = runner.invoke(main, ["plan", "--config", cfg, "--preset", "double-balanced"])
+            if result.exit_code not in (0, 2, 3) or not isinstance(
+                result.exception, (SystemExit, type(None))
+            ):
+                escapes.append((path, value, "plan", repr(result.exception)))
+    assert escapes == []
+    assert 0 < loaded < len(list(config_keys(SCAN_CONFIG))) * len(SCAN_VALUES)
 
 
 def test_python_dash_m_runs_the_cli():
@@ -701,6 +806,17 @@ def first_entry(state, drop=None, **changes):
             "n_trees",
             id="bad_param",
         ),
+        pytest.param(
+            lambda s: first_entry(s, spec={"kind": "forest", "seed": 1.5}),
+            "classifier seed",
+            id="float_spec_seed",
+        ),
+        pytest.param(
+            lambda s: first_entry(s, spec={"kind": "forest", "seed": True}),
+            "classifier seed",
+            id="bool_spec_seed",
+        ),
+        pytest.param(lambda s: first_entry(s, spec={"kind": ["x"]}), "kind", id="list_kind"),
     ],
 )
 def test_report_malformed_results_are_input_errors(search_run, tmp_path, damage, fragment):
