@@ -16,6 +16,8 @@ tolerance games.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -118,18 +120,22 @@ def _rfloat(x: tuple[int, int]) -> float:
     return x[0] / x[1]
 
 
+@lru_cache(maxsize=4096)
+def _moved(source: tuple[int, int], target: tuple[int, int], knob: float) -> tuple[int, int]:
+    """source * (1 - knob) + target * knob, exactly."""
+    k = float(knob).as_integer_ratio()
+    return _radd(_rmul(source, _rsub((1, 1), k)), _rmul(target, k))
+
+
 def _exact_targets(
     c: QuadrantCounts, params: BalanceParams
 ) -> tuple[tuple[int, int], tuple[int, int], tuple[int, int]]:
-    one = (1, 1)
-    a, b, g = (float(v).as_integer_ratio() for v in params.as_tuple())
-    p_share = (c.privileged, c.total)
-    f_share = (c.favourable, c.total)
-    adv = (c.p_f * c.unprivileged, c.privileged * c.up_f)
+    # each target follows from one knob, so a grid search meets the
+    # same few values again and again: _moved caches them
     return (
-        _radd(_rmul(p_share, _rsub(one, a)), _rmul((1, 2), a)),
-        _radd(_rmul(f_share, _rsub(one, b)), _rmul((1, 2), b)),
-        _radd(_rmul(adv, _rsub(one, g)), g),
+        _moved((c.privileged, c.total), (1, 2), params.alpha),
+        _moved((c.favourable, c.total), (1, 2), params.beta),
+        _moved((c.p_f * c.unprivileged, c.privileged * c.up_f), (1, 1), params.gamma),
     )
 
 
@@ -357,17 +363,120 @@ def check_restrictions(
     )
 
 
-def apportion(size: int, ratios: tuple[float, float, float, float]) -> tuple[int, int, int, int]:
-    """Integer quadrant quotas by largest remainder, ties by quadrant order."""
+def _quotas(size: int, ratios: np.ndarray) -> np.ndarray:
+    """(K, 4) integer quadrant quotas for the K rows of (K, 4) ratios by
+    largest remainder, ties by quadrant order."""
     if size < 1:
         raise InputError(f"sample size must be >= 1, got {size}")
-    quotas = [size * r for r in ratios]
-    counts = [int(q) for q in quotas]
-    leftover = size - sum(counts)
-    order = sorted(range(4), key=lambda q: (counts[q] - quotas[q], q))
-    for q in order[:leftover]:
-        counts[q] += 1
-    return tuple(counts)
+    exact = size * ratios
+    quotas = exact.astype(np.int64)
+    leftover = size - quotas.sum(axis=1)
+    # one more record each for the leftover largest remainders
+    order = np.argsort(quotas - exact, axis=1, kind="stable")
+    quotas += np.argsort(order, axis=1) < leftover[:, None]
+    return quotas
+
+
+def apportion(size: int, ratios: tuple[float, float, float, float]) -> tuple[int, int, int, int]:
+    """Integer quadrant quotas by largest remainder, ties by quadrant order."""
+    return tuple(_quotas(size, np.array([ratios], dtype=float))[0].tolist())
+
+
+def _floyd(
+    uniform: np.ndarray, n: np.ndarray, need: np.ndarray, step: np.ndarray, draw: np.ndarray
+) -> np.ndarray:
+    """Floyd's distinct positions (Bentley & Floyd, CACM 30(9), 1987)
+    for many draws at once.
+
+    Entry i is step step[i] of draw draw[i], which takes need[i] of n[i]
+    positions. The step's fallback j = n - need + step is new to its
+    draw; the step takes t = floor(uniform * (j + 1)), capped at j,
+    unless t is taken already, and then takes j. A t is taken exactly
+    when an earlier step of the draw drew the same t, or when t is the
+    fallback of an earlier step that took its fallback.
+    """
+    fallback = n - need + step
+    t = np.minimum((uniform * (fallback + 1)).astype(np.int64), fallback)
+    key = draw * (int(n.max(initial=0)) + 1) + t
+    order = np.argsort(key, kind="stable")
+    taken = np.zeros(len(t), dtype=bool)
+    taken[order[1:][key[order[1:]] == key[order[:-1]]]] = True
+    steps = np.flatnonzero((t >= n - need) & (t < fallback))
+    earlier = steps - (fallback[steps] - t[steps])  # the step whose fallback is t
+    while True:
+        chained = taken[earlier] & ~taken[steps]
+        if not chained.any():
+            return np.where(taken, fallback, t)
+        taken[steps[chained]] = True
+
+
+def _draw_rows(
+    pools: Sequence[np.ndarray], quotas: np.ndarray, seeds: Sequence[int], size: int
+) -> np.ndarray:
+    """(K, size) sorted row positions of K sample draws.
+
+    Draw k takes quotas[k, q] distinct entries of pools[q], uniformly,
+    quadrant by quadrant with one generator seeded by seeds[k], so the
+    draw is reproducible bit for bit. A whole pool is taken as it is, a
+    quota of a quarter of its pool or more takes a permutation's head,
+    and a smaller one costs one random vector through _floyd, O(quota)
+    rather than O(pool). Only the generator calls run draw by draw.
+    Every quota must fit its pool.
+    """
+    lengths = [len(pool) for pool in pools]
+    shuffled: list[np.ndarray] = []
+    uniforms: list[np.ndarray] = []
+    for seed, needs in zip(seeds, quotas.tolist()):
+        rng = np.random.default_rng(seed)
+        for need, length in zip(needs, lengths):
+            if 0 < need < length:
+                if 4 * need < length:
+                    uniforms.append(rng.random(need))
+                else:
+                    shuffled.append(rng.permutation(length)[:need])
+    n = np.array(lengths)
+    floyd = (quotas > 0) & (4 * quotas < n)
+    shuffle = (quotas < n) & ~floyd
+    counts = quotas.ravel()
+    draw = np.repeat(np.arange(counts.size), counts)  # (task, quadrant) of each record
+    quadrant = draw % 4
+    step = np.arange(draw.size) - (np.cumsum(counts) - counts)[draw]
+    positions = step.copy()  # a whole pool's step e takes position e
+    if shuffled:
+        positions[shuffle.ravel()[draw]] = np.concatenate(shuffled)
+    if uniforms:
+        at = floyd.ravel()[draw]
+        positions[at] = _floyd(
+            np.concatenate(uniforms), n[quadrant[at]], counts[draw[at]], step[at], draw[at]
+        )
+    positions += (np.cumsum(n) - n)[quadrant]
+    rows = np.concatenate(pools)[positions].reshape(len(quotas), size)
+    rows.sort(axis=1)
+    return rows
+
+
+def draw_samples(
+    d: Dataset, plans: Sequence[SamplingPlan], seeds: Sequence[int], size: int
+) -> tuple[np.ndarray, list[str | None]]:
+    """One sample draw per plan, each the draw of sample_indices.
+
+    Returns the sorted row positions of the draws whose quotas fit d's
+    quadrants, one (size,) row each in plan order, and per plan None or
+    why its quotas do not fit.
+    """
+    pools = [d.quadrant_indices()[name] for name in QUADRANT_NAMES]
+    n = np.array([len(pool) for pool in pools])
+    quotas = _quotas(size, np.array([plan.ratios for plan in plans]).reshape(-1, 4))
+    short = quotas > n
+    reasons: list[str | None] = [None] * len(quotas)
+    for k in np.flatnonzero(short.any(axis=1)).tolist():
+        q = int(short[k].argmax())
+        reasons[k] = (
+            f"sample size {size} needs {quotas[k, q]} records from quadrant "
+            f"{QUADRANT_NAMES[q]} but only {n[q]} are present"
+        )
+    drawn = [seed for seed, reason in zip(seeds, reasons) if reason is None]
+    return _draw_rows(pools, quotas[~short.any(axis=1)], drawn, size), reasons
 
 
 def sample_indices(d: Dataset, plan: SamplingPlan, size: int, seed: int) -> np.ndarray:
@@ -375,51 +484,17 @@ def sample_indices(d: Dataset, plan: SamplingPlan, size: int, seed: int) -> np.n
 
     Quadrant quotas come from largest-remainder apportionment; records
     are drawn uniformly without replacement inside each quadrant with a
-    single seeded generator, quadrants in fixed order, so the draw is
-    reproducible bit for bit.
+    single seeded generator, quadrants in fixed order (see _draw_rows).
     """
-    quotas = apportion(size, plan.ratios)
-    pools = d.quadrant_indices()
-    for name, need in zip(QUADRANT_NAMES, quotas):
-        if need > len(pools[name]):
-            raise InfeasibleError(
-                f"sample size {size} needs {need} records from quadrant {name} "
-                f"but only {len(pools[name])} are present"
-            )
-    rng = np.random.default_rng(seed)
-    chosen = []
-    for name, need in zip(QUADRANT_NAMES, quotas):
-        if need:
-            chosen.append(_draw_without_replacement(rng, pools[name], need))
-    return np.sort(np.concatenate(chosen)) if chosen else np.empty(0, dtype=np.intp)
+    rows, (reason,) = draw_samples(d, [plan], [seed], size)
+    if reason is not None:
+        raise InfeasibleError(reason)
+    return rows[0]
 
 
 def materialize_sample(d: Dataset, plan: SamplingPlan, size: int, seed: int) -> Dataset:
     """Draw a concrete sample of the given size following plan ratios."""
     return d.take(sample_indices(d, plan, size, seed))
-
-
-def _draw_without_replacement(
-    rng: np.random.Generator, pool: np.ndarray, need: int
-) -> np.ndarray:
-    """Uniform sample of distinct pool entries, in no particular order.
-
-    Small draws from big pools avoid the full-pool shuffle a plain
-    choice() would pay for: one random vector plus Floyd's collision
-    fix-up (Bentley & Floyd, CACM 30(9), 1987) costs O(need) instead of
-    O(pool).
-    """
-    n = len(pool)
-    if need >= n:
-        return pool.copy()
-    if 4 * need >= n:
-        return rng.permutation(pool)[:need]
-    highs = np.arange(n - need + 1, n + 1)
-    draws = np.minimum((rng.random(need) * highs).astype(np.int64), highs - 1)
-    taken: set[int] = set()
-    for t, j in zip(draws.tolist(), range(n - need, n)):
-        taken.add(j if t in taken else t)
-    return pool[np.fromiter(taken, dtype=np.intp, count=need)]
 
 
 # ---------------------------------------------------------------------------

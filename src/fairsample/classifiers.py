@@ -90,7 +90,7 @@ def fit_logistic_batch(
         residual *= 0.5
         residual -= work_y
         grad_w = (residual[:, None, :] @ work_x)[:, 0, :] / n + l2 * w
-        grad_b = residual.mean(axis=1)
+        grad_b = np.add.reduce(residual, axis=1) / n  # mean's float operations, without its wrapper
         step_w = learning_rate * grad_w
         step_b = learning_rate * grad_b
         w -= step_w

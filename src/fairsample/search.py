@@ -22,16 +22,21 @@ at level 1.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import struct
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
+# sample_indices and materialize_sample are not called here, but
+# perfbench/spans.py wraps them under this module's names
 from .balance import (
     BalanceParams,
+    SamplingPlan,
     _lattice_denominator,
     compute_plan,
+    draw_samples,
     materialize_sample,
     max_sample_size,
     sample_indices,
@@ -170,15 +175,21 @@ class EvaluationPoint:
 
     @staticmethod
     def from_dict(data: dict[str, Any]) -> "EvaluationPoint":
-        report = data.get("metrics")
+        """The point to_dict wrote; a value of the wrong type or range
+        raises InputError naming its key."""
+        kind, error, report = data["classifier"], data.get("error"), data.get("metrics")
+        if not isinstance(kind, str):
+            raise InputError(f"classifier must be a string, got {kind!r}")
+        if error is not None and not isinstance(error, str):
+            raise InputError(f"error must be a string or null, got {error!r}")
         return EvaluationPoint(
             params=BalanceParams(data["alpha"], data["beta"], data["gamma"]),
-            threshold=float(data["threshold"]),
-            classifier_kind=str(data["classifier"]),
+            threshold=check_number(data["threshold"], "threshold", 0.0, 1.0, "()"),
+            classifier_kind=kind,
             report=None if report is None else MetricReport.from_dict(report),
-            size=int(data["size"]),
-            seed=int(data["seed"]),
-            error=data.get("error"),
+            size=check_int(data["size"], "size", 1),
+            seed=check_int(data["seed"], "seed", bits=64),
+            error=error,
         )
 
 
@@ -324,6 +335,27 @@ def _invalid_point(task: Task, kind: str, size: int, message: str) -> Evaluation
     )
 
 
+def _draw_chunk(
+    d_train: Dataset, chunk: list[Task], size: int
+) -> tuple[np.ndarray, list[str | None]]:
+    """The samples of a chunk's tasks in one pass (balance.draw_samples):
+    the rows of the tasks that have one, in task order, and per task None
+    or why it has none."""
+    counts = quadrant_counts(d_train)
+    plans: list[SamplingPlan] = []
+    reasons: list[str | None] = []
+    for params, _, _ in chunk:
+        try:
+            plans.append(compute_plan(counts, params))
+            reasons.append(None)
+        except InfeasibleError as exc:
+            reasons.append(str(exc))
+    seeds = [seed for (_, _, seed), reason in zip(chunk, reasons) if reason is None]
+    rows, short = draw_samples(d_train, plans, seeds, size)
+    drawn = iter(short)
+    return rows, [next(drawn) if reason is None else reason for reason in reasons]
+
+
 # a task's logistic fit in the raw feature basis, (w_raw..., b_raw), or
 # the reason the task has none, keyed by (params, seed)
 Fits = dict[tuple[BalanceParams, int], "np.ndarray | str"]
@@ -334,12 +366,11 @@ def _batched_logistic(
     d_eval: Dataset,
     spec: ClassifierSpec,
     size: int,
-    chunk_size: int,
     sweep: "_ThresholdSweep",
     keep_fits: Fits | None,
     reuse_fits: Fits | None,
 ) -> Evaluator:
-    """Logistic evaluation through one batched fit per chunk.
+    """Logistic evaluation of a chunk of tasks through one batched fit.
 
     One-hot categories are fixed once on the training split, so two raw
     matrices built once serve every task. A category a sample lacks is
@@ -355,7 +386,6 @@ def _batched_logistic(
     keeps its recorded failure) without drawing or fitting; every task's
     outcome is recorded in keep_fits when given.
     """
-    counts = quadrant_counts(d_train)
     pipeline = FeaturePipeline().fit(d_train)
     train_matrix = pipeline.encode(d_train)
     eval_matrix = pipeline.encode(d_eval)
@@ -367,23 +397,10 @@ def _batched_logistic(
     template = LogisticRegression(**spec.params)
     known = reuse_fits or {}
 
-    def draw(task: Task) -> np.ndarray | str:
-        """The task's sample rows, or why it cannot be fitted."""
-        params, _, seed = task
-        try:
-            idx = sample_indices(d_train, compute_plan(counts, params), size, seed)
-        except InfeasibleError as exc:
-            return str(exc)
-        ones = train_labels[idx].sum()
-        if ones == 0.0 or ones == size:
-            return "training data contains a single label value"
-        return idx
-
-    def fit_samples(picks: list[np.ndarray]) -> np.ndarray:
-        """Raw-basis (w_raw..., b_raw) rows, one per drawn sample."""
-        rows = np.concatenate(picks)
-        xs = train_matrix[rows].reshape(len(picks), size, width)
-        ys = train_labels[rows].reshape(len(picks), size)
+    def fit_samples(rows: np.ndarray) -> np.ndarray:
+        """Raw-basis (w_raw..., b_raw) rows, one per (size,) row of sample rows."""
+        xs = train_matrix[rows]
+        ys = train_labels[rows]
         # standardise the whole stack in place; one-hot columns keep
         # mean 0 and scale 1
         mean = xs.mean(axis=1)
@@ -401,27 +418,27 @@ def _batched_logistic(
         w, b, _ = fit_logistic_batch(
             xs, ys, template.learning_rate, template.l2, template.max_iter, template.tol
         )
-        coef = np.empty((len(picks), width + 1))
+        coef = np.empty((len(rows), width + 1))
         coef[:, :width] = w / std
         coef[:, width] = b - np.sum(w * mean / std, axis=1)
         return coef
 
-    def run_chunk(chunk: list[Task], out: list[EvaluationPoint]) -> None:
-        # per task: a recorded fit or failure, or the index of its sample
-        outcomes: list[np.ndarray | str | int] = []
-        picks: list[np.ndarray] = []
-        for task in chunk:
-            params, _, seed = task
-            outcome = known.get((params, seed))
-            if outcome is None:
-                outcome = draw(task)
-                if not isinstance(outcome, str):
-                    picks.append(outcome)
-                    outcome = len(picks) - 1
-            outcomes.append(outcome)
-        if picks:
-            coef = fit_samples(picks)
-            outcomes = [coef[o] if isinstance(o, int) else o for o in outcomes]
+    def run_chunk(chunk: list[Task]) -> list[EvaluationPoint]:
+        # per task: a recorded fit or failure, or None until it is fitted
+        outcomes: list[np.ndarray | str | None] = [
+            known.get((params, seed)) for params, _, seed in chunk
+        ]
+        fresh = [k for k, outcome in enumerate(outcomes) if outcome is None]
+        if fresh:
+            rows, reasons = _draw_chunk(d_train, [chunk[k] for k in fresh], size)
+            ones = train_labels[rows].sum(axis=1)
+            two_labels = (ones != 0.0) & (ones != size)
+            coef = iter(fit_samples(rows[two_labels]) if two_labels.any() else ())
+            drawn = iter(two_labels.tolist())
+            for k, reason in zip(fresh, reasons):
+                if reason is None and not next(drawn):
+                    reason = "training data contains a single label value"
+                outcomes[k] = next(coef) if reason is None else reason
         if keep_fits is not None:
             for (params, _, seed), outcome in zip(chunk, outcomes):
                 keep_fits[(params, seed)] = outcome
@@ -433,19 +450,14 @@ def _batched_logistic(
             scores = _sigmoid_scores(eval_matrix @ table[:, :width].T + table[:, width])
             points.extend(sweep.points([t for t, _ in block], scores, spec.kind, size))
         scored_points = iter(points)
-        for task, outcome in zip(chunk, outcomes):
-            if isinstance(outcome, str):
-                out.append(_invalid_point(task, spec.kind, size, outcome))
-            else:
-                out.append(next(scored_points))
+        return [
+            _invalid_point(task, spec.kind, size, outcome)
+            if isinstance(outcome, str)
+            else next(scored_points)
+            for task, outcome in zip(chunk, outcomes)
+        ]
 
-    def evaluate(tasks: list[Task]) -> list[EvaluationPoint]:
-        out: list[EvaluationPoint] = []
-        for start in range(0, len(tasks), chunk_size):
-            run_chunk(tasks[start : start + chunk_size], out)
-        return out
-
-    return evaluate
+    return run_chunk
 
 
 def make_model_evaluator(
@@ -460,9 +472,10 @@ def make_model_evaluator(
 ) -> Evaluator:
     """The real evaluator: sample, train, score, pick the threshold.
 
-    Logistic specs, numeric or categorical, run through the batched
-    descent kernel in fixed chunks (see _batched_logistic); every other
-    kind draws its sample and trains it through classifiers.fit per task.
+    Tasks run in fixed chunks, and each chunk draws its samples in one
+    pass (_draw_chunk). Logistic specs, numeric or categorical, fit a
+    chunk through the batched descent kernel (see _batched_logistic);
+    every other kind trains each sample through classifiers.fit.
     Chunking is a memory knob only, results do not depend on it.
 
     For logistic specs, keep_fits collects each task's fit and
@@ -474,23 +487,30 @@ def make_model_evaluator(
     check_int(chunk_size, "chunk_size", 1)
     sweep = _ThresholdSweep(d_eval, weights)
     if spec.kind == "logistic":
-        return _batched_logistic(
-            d_train, d_eval, spec, size, chunk_size, sweep, keep_fits, reuse_fits
-        )
-    counts = quadrant_counts(d_train)
+        run_chunk = _batched_logistic(d_train, d_eval, spec, size, sweep, keep_fits, reuse_fits)
+    else:
+
+        def run_chunk(chunk: list[Task]) -> list[EvaluationPoint]:
+            rows, reasons = _draw_chunk(d_train, chunk, size)
+            drawn = iter(rows)
+            out: list[EvaluationPoint] = []
+            for task, reason in zip(chunk, reasons):
+                if reason is None:
+                    try:
+                        model = fit(spec, d_train.take(next(drawn)))
+                    except TrainingError as exc:
+                        reason = str(exc)
+                if reason is not None:
+                    out.append(_invalid_point(task, spec.kind, size, reason))
+                    continue
+                scores = np.asarray(model.predict_scores(d_eval))
+                out.extend(sweep.points([task], scores[:, None], spec.kind, size))
+            return out
 
     def evaluate(tasks: list[Task]) -> list[EvaluationPoint]:
         out: list[EvaluationPoint] = []
-        for task in tasks:
-            params, _, seed = task
-            try:
-                sample = materialize_sample(d_train, compute_plan(counts, params), size, seed)
-                model = fit(spec, sample)
-            except (InfeasibleError, TrainingError) as exc:
-                out.append(_invalid_point(task, spec.kind, size, str(exc)))
-                continue
-            scores = np.asarray(model.predict_scores(d_eval))
-            out.extend(sweep.points([task], scores[:, None], spec.kind, size))
+        for start in range(0, len(tasks), chunk_size):
+            out.extend(run_chunk(tasks[start : start + chunk_size]))
         return out
 
     return evaluate
@@ -601,7 +621,9 @@ def grid_search_level1(
         evaluate = make_model_evaluator(d_train, d_eval, spec, grid.weights, size)
     denom = grid.fine_denominator
     width = grid.half_width_units
-    wanted: dict[tuple[int, int, int], set[float]] = {}
+    # a point holds its winner's threshold tuple, shared with the rest
+    # of the neighbourhood; only overlaps build a union of their own
+    wanted: dict[tuple[int, int, int], tuple[float, ...]] = {}
     for p in winners[: grid.top_k]:
         center = (
             round(p.params.alpha * denom),
@@ -612,14 +634,13 @@ def grid_search_level1(
         spans = [
             range(max(0, c - width), min(denom, c + width) + 1) for c in center
         ]
-        for ai in spans[0]:
-            for bi in spans[1]:
-                for gi in spans[2]:
-                    wanted.setdefault((ai, bi, gi), set()).update(thresholds)
+        for point in itertools.product(*spans):
+            held = wanted.get(point, thresholds)
+            wanted[point] = held if held == thresholds else tuple(sorted({*held, *thresholds}))
     tasks: list[Task] = []
     for (ai, bi, gi), thresholds in sorted(wanted.items()):
         params = BalanceParams(ai / denom, bi / denom, gi / denom)
-        tasks.append((params, tuple(sorted(thresholds)), point_seed(seed, ai, bi, gi)))
+        tasks.append((params, thresholds, point_seed(seed, ai, bi, gi)))
     return _emit(evaluate(tasks), sink)
 
 

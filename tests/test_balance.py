@@ -7,6 +7,8 @@ bound. Frozen expected values below were produced by those oracles.
 """
 from __future__ import annotations
 
+import hashlib
+import itertools
 import math
 from fractions import Fraction
 
@@ -16,7 +18,7 @@ from scipy.optimize import brentq
 
 from fairsample.balance import (
     BalanceParams,
-    _draw_without_replacement,
+    _draw_rows,
     PRESET_NAMES,
     SamplingPlan,
     allowed_interval,
@@ -24,10 +26,12 @@ from fairsample.balance import (
     bound_at,
     check_restrictions,
     compute_plan,
+    draw_samples,
     materialize_sample,
     max_sample_size,
     preset_plan,
     quadrant_bounds,
+    sample_indices,
 )
 from fairsample.base import InfeasibleError, InputError, PlanError
 from fairsample.dataset import (
@@ -452,6 +456,33 @@ def test_materialize_composition_and_determinism():
     assert quadrant_counts(sample).as_tuple() == apportion(size, plan.ratios)
 
 
+def test_draws_are_pinned():
+    # every path of the draw on one grid: zero quotas, whole pools,
+    # permutations, and Floyd draws with and without collisions (among
+    # them collisions on an earlier step's fix-up value); the digest was
+    # recorded before the draw was batched and must never move
+    d = generate_synthetic(SyntheticSpec(quadrants=(400, 50, 80, 30), bias=0.0), seed=3)
+    c = quadrant_counts(d)
+    pool_sizes = c.as_tuple()
+    paths = dict.fromkeys(("zero", "whole", "permutation", "floyd"), 0)
+    digest = hashlib.sha256()
+    for a, b, g in itertools.product((0.0, 0.5, 1.0), repeat=3):
+        plan = compute_plan(c, BalanceParams(a, b, g))
+        for size in (1, 3, 25, 60, bound_at(c, plan.params)):
+            for need, n in zip(apportion(size, plan.ratios), pool_sizes):
+                path = "zero" if need == 0 else "whole" if need >= n else (
+                    "permutation" if 4 * need >= n else "floyd"
+                )
+                paths[path] += 3
+            for seed in range(3):
+                rows = sample_indices(d, plan, size, seed)
+                digest.update(rows.astype(np.int64).tobytes())
+    assert min(paths.values()) >= 90, paths
+    assert digest.hexdigest() == (
+        "71c7b74f3e18d4531f9b8b61b24ee0fcabb38ae5d1a9aad733f76c77fd40ed2c"
+    )
+
+
 def oracle_draw(rng, pool, need, seen):
     """The per-element Floyd loop the draw used to run, in draw order;
     counts in seen which branch ran, how many draws landed in the
@@ -479,19 +510,59 @@ def oracle_draw(rng, pool, need, seen):
 
 
 def test_draw_matches_per_element_floyd_loop():
-    cases = [(n, need, n * 7919 + need) for n in range(1, 71) for need in range(1, n + 2)]
+    # one batched draw per pool length n; each task draws its case's need
+    # from the n-pool, then the rest of the sample from a big second pool
+    # by Floyd, which shows where the first draw left the stream
+    cases = [(n, need, n * 7919 + need) for n in range(1, 111) for need in range(1, n + 1)]
     cases += [(n, need, seed) for n in (200, 1000, 9000) for need in (1, 2, 5, 17, 49) for seed in range(40)]
     seen = dict.fromkeys(("whole", "permutation", "floyd", "high_draws", "collisions"), 0)
-    for n, need, seed in cases:
+    for n in sorted({n for n, _, _ in cases}):
+        group = [(need, seed) for m, need, seed in cases if m == n]
+        size = max(need for need, _ in group) + 20
         pool = np.arange(n, dtype=np.intp) * 3 + 11  # values differ from positions
-        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = _draw_without_replacement(rng, pool, need)
-        want = oracle_draw(oracle_rng, pool, need, seen)
-        assert got.dtype == want.dtype
-        assert np.array_equal(np.sort(got), np.sort(want))
-        assert rng.random() == oracle_rng.random()  # the stream is untouched
+        rest = np.arange(8 * size, dtype=np.intp) * 3 + pool[-1] + 1
+        empty = np.empty(0, dtype=np.intp)
+        quotas = np.array([(need, size - need, 0, 0) for need, _ in group])
+        rows = _draw_rows([pool, rest, empty, empty], quotas, [seed for _, seed in group], size)
+        for (need, seed), got in zip(group, rows):
+            oracle_rng = np.random.default_rng(seed)
+            want = oracle_draw(oracle_rng, pool, need, seen)
+            want_rest = oracle_draw(oracle_rng, rest, size - need, dict.fromkeys(seen, 0))
+            assert got.dtype == want.dtype
+            assert np.array_equal(got[:need], np.sort(want))
+            assert np.array_equal(got[need:], np.sort(want_rest))  # the stream is untouched
     assert len(cases) > 2000
     assert min(seen.values()) > 100, seen
+
+
+def test_draw_samples_is_sample_indices_per_plan():
+    # some quotas are too big for a quadrant at this size
+    d = generate_synthetic(SyntheticSpec(quadrants=(400, 10, 80, 40), bias=0.0), seed=3)
+    c = quadrant_counts(d)
+    plans = []
+    for a, b, g in itertools.product((0.0, 0.3, 1.0), repeat=3):
+        try:
+            plans.append(compute_plan(c, BalanceParams(a, b, g)))
+        except InfeasibleError:
+            continue
+    seeds = list(range(len(plans)))
+    size = 100
+    rows, reasons = draw_samples(d, plans, seeds, size)
+    assert rows.shape[1] == size
+    drawn = iter(rows)
+    outcomes = set()
+    for plan, seed, reason in zip(plans, seeds, reasons):
+        try:
+            want = sample_indices(d, plan, size, seed)
+        except InfeasibleError as exc:
+            assert reason == str(exc)
+            outcomes.add("short")
+            continue
+        assert reason is None
+        assert np.array_equal(next(drawn), want)
+        outcomes.add("drawn")
+    assert next(drawn, None) is None
+    assert outcomes == {"drawn", "short"}
 
 
 def test_materialize_infeasible_names_quadrant():

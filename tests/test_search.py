@@ -8,6 +8,8 @@ fit/predict API.
 """
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -197,6 +199,30 @@ def test_invalid_point_round_trip_and_sorting():
     assert sorted([bad, good], key=EvaluationPoint.sort_key) == [good, bad]
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("seed", 1.5),
+        ("seed", True),
+        ("seed", -1),
+        ("size", "88"),
+        ("size", True),
+        ("size", 0),
+        ("threshold", "0.5"),
+        ("threshold", False),
+        ("threshold", float("nan")),
+        ("alpha", None),
+        ("classifier", ["x"]),
+        ("error", 3),
+    ],
+)
+def test_point_from_dict_rejects_bad_values(key, value):
+    data = synthetic_point(0.1, 0.2, 0.3).to_dict()
+    data[key] = value
+    with pytest.raises(InputError, match=key):
+        EvaluationPoint.from_dict(data)
+
+
 def test_point_seed_is_frozen_and_sensitive_to_every_input():
     assert point_seed(0, 0, 0, 0) == 14545267087388472547
     assert point_seed(0, 10, 20, 30) == 6074372742912530158
@@ -353,6 +379,45 @@ def test_level1_overlapping_boxes_merge():
     )
     # alpha spans [20..50] once deduplicated, the other axes [40..60]
     assert len(level1) == 31 * 21 * 21
+
+
+def test_level1_tasks_match_thresholds_collected_in_sets():
+    # three winners whose boxes overlap and whose best thresholds differ,
+    # so some points hold one winner's list and others a union
+    def two_pits(params, t):
+        a = bowl(params, t, center=(0.3, 0.5, 0.5, 0.3))
+        b = bowl(params, t, center=(0.4, 0.5, 0.5, 0.5)) + 0.001
+        return min(a, b)
+
+    grid = GridSpec(top_k=3)
+    stub = make_stub(two_pits)
+    level0 = grid_search_level0(None, None, None, grid, seed=0, size=10, evaluate=stub)
+    seen = []
+
+    def recording(tasks):
+        seen.extend(tasks)
+        return stub(tasks)
+
+    grid_search_level1(level0, None, None, None, grid, seed=0, size=10, evaluate=recording)
+    # the task list built with one set of thresholds per lattice point
+    denom, width = grid.fine_denominator, grid.half_width_units
+    wanted = {}
+    for p in sorted((p for p in level0 if p.valid), key=EvaluationPoint.sort_key)[: grid.top_k]:
+        spans = [
+            range(max(0, c - width), min(denom, c + width) + 1)
+            for c in (round(v * denom) for v in p.params.as_tuple())
+        ]
+        for point in itertools.product(*spans):
+            wanted.setdefault(point, set()).update(
+                search_mod._refined_thresholds(p.threshold, grid)
+            )
+    want = [
+        (BalanceParams(*(i / denom for i in point)), tuple(sorted(ts)), point_seed(0, *point))
+        for point, ts in sorted(wanted.items())
+    ]
+    assert seen == want
+    lists = {ts for _, ts, _ in seen}
+    assert len(lists) >= 3, lists
 
 
 def test_refined_thresholds_clip_away_from_endpoints():
@@ -632,17 +697,21 @@ def test_model_evaluator_generic_kind_matches_reference():
 @pytest.mark.parametrize("corpus", sorted(CORPORA))
 def test_model_evaluator_chunk_size_is_only_a_memory_knob(corpus):
     d_train, d_eval = CORPORA[corpus]
-    spec = ClassifierSpec(kind="logistic", params={})
     # more tasks than one scoring block, so the default chunk crosses a
     # block boundary
     tasks = [t for s in range(21, 31) for t in model_tasks(global_seed=s)]
     assert len(tasks) > search_mod._SWEEP_BLOCK
-    baseline = make_model_evaluator(d_train, d_eval, spec, WEIGHTS, SIZE)(tasks)
-    for chunk in (1, 3):
-        other = make_model_evaluator(
-            d_train, d_eval, spec, WEIGHTS, SIZE, chunk_size=chunk
-        )(tasks)
-        assert [p.to_dict() for p in other] == [p.to_dict() for p in baseline]
+    specs = [
+        ClassifierSpec(kind="logistic", params={}),
+        ClassifierSpec(kind="forest", params={"n_trees": 4}, seed=3),
+    ]
+    for spec in specs:
+        baseline = make_model_evaluator(d_train, d_eval, spec, WEIGHTS, SIZE)(tasks)
+        for chunk in (1, 3):
+            other = make_model_evaluator(
+                d_train, d_eval, spec, WEIGHTS, SIZE, chunk_size=chunk
+            )(tasks)
+            assert [p.to_dict() for p in other] == [p.to_dict() for p in baseline]
 
 
 def test_all_zero_columns_keep_zero_weight_in_the_batched_fit():
@@ -734,16 +803,16 @@ def test_infeasible_lattice_points_are_marked_not_raised():
     counts = quadrant_counts(skewed)
     with pytest.raises(InfeasibleError):
         compute_plan(counts, BalanceParams(0.0, 1.0, 0.0))
-    spec = ClassifierSpec(kind="logistic", params={})
-    evaluate = make_model_evaluator(skewed, skewed, spec, WEIGHTS, size=33)
     tasks = [
         (BalanceParams(0.0, 1.0, 0.0), (0.5,), 1),
         (BalanceParams(0.0, 0.0, 0.0), (0.5,), 2),
     ]
-    bad, good = evaluate(tasks)
-    assert not bad.valid
-    assert "rates" in bad.error
-    assert good.valid
+    for kind in ("logistic", "naive_bayes"):
+        spec = ClassifierSpec(kind=kind, params={})
+        bad, good = make_model_evaluator(skewed, skewed, spec, WEIGHTS, size=33)(tasks)
+        assert not bad.valid
+        assert "rates" in bad.error
+        assert good.valid
 
 
 def test_inspect_point_is_deterministic():
