@@ -12,7 +12,8 @@ Evaluation is pluggable: the default evaluator samples, trains and
 scores real models, while tests inject analytic stubs through the same
 seam. Logistic fits, on numeric and categorical features alike, go
 through one vectorised kernel a chunk of tasks at a time, with the
-one-hot categories fixed on the training split.
+one-hot categories fixed on the training split. A level's chunks run
+in forked worker processes, one per usable CPU at most.
 All ordering is deterministic; per-point seeds hash the global seed
 with the fine-lattice indices, so a point revisited at level 1 reuses
 exactly the sample it had at level 0. A full search therefore trains a
@@ -21,11 +22,13 @@ at level 1.
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
+import os
 import struct
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -208,6 +211,28 @@ def point_seed(global_seed: int, alpha_units: int, beta_units: int, gamma_units:
 # ---------------------------------------------------------------------------
 # evaluation
 
+def _threshold_columns(
+    thresholds: list[tuple[float, ...]],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sorted union of the tasks' thresholds, a (task, union) mask of
+    each task's own thresholds, and the union column of each task's first.
+
+    Tasks mostly share a tuple (level 0's grid, a level-1 winner's
+    refinement), so each distinct tuple is looked up once.
+    """
+    distinct: dict[tuple[float, ...], int] = {}
+    rows = [distinct.setdefault(ts, len(distinct)) for ts in thresholds]
+    values = [np.asarray(ts, dtype=float) for ts in distinct]
+    union = np.unique(np.concatenate(values))
+    member = np.zeros((len(distinct), len(union)), dtype=bool)
+    first = np.empty(len(distinct), dtype=np.int64)
+    for row, ts in enumerate(values):
+        cols = np.searchsorted(union, ts)
+        member[row, cols] = True
+        first[row] = cols[0]
+    return union, member[rows], first[rows]
+
+
 class _ThresholdSweep:
     """Best-threshold selection over one evaluation set, a chunk at a time.
 
@@ -242,7 +267,7 @@ class _ThresholdSweep:
         case report_from_counts raises InputError).
         """
         k = len(thresholds)
-        union = np.unique(np.concatenate([np.asarray(t, dtype=float) for t in thresholds]))
+        union, member, first = _threshold_columns(thresholds)
         width = len(union) + 1
         # bin b holds scores in [union[b-1], union[b]): score >= union[u] iff b > u
         keys = np.searchsorted(union, scores, side="right")
@@ -252,12 +277,6 @@ class _ThresholdSweep:
         counts = np.bincount(keys.ravel(), minlength=k * 4 * width).reshape(k, 4, width)
         # positive[k, c, u] = rows of category c with score >= union[u]
         positive = counts[:, :, ::-1].cumsum(axis=2)[:, :, ::-1][:, :, 1:]
-        member = np.zeros((k, len(union)), dtype=bool)
-        first = np.empty(k, dtype=np.int64)
-        for row, ts in enumerate(thresholds):
-            cols = np.searchsorted(union, np.asarray(ts, dtype=float))
-            member[row, cols] = True
-            first[row] = cols[0]
         totals = self.totals
         tp = positive[:, 1] + positive[:, 3]
         fp = positive[:, 0] + positive[:, 2]
@@ -361,15 +380,65 @@ def _draw_chunk(
 Fits = dict[tuple[BalanceParams, int], "np.ndarray | str"]
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, or 1 where the fork start
+    method is missing; a level runs its chunks on at most this many
+    worker processes."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# the chunk runner of the pool this worker process was forked for
+_worker_run: Callable[[int], Any] | None = None
+
+
+def _start_worker(run: Callable[[int], Any]) -> None:
+    global _worker_run
+    _worker_run = run
+
+
+def _run_in_worker(index: int) -> Any:
+    return _worker_run(index)
+
+
+@contextlib.contextmanager
+def _chunk_results(run: Callable[[int], Any], count: int) -> Iterator[Iterator[Any]]:
+    """run(0), ..., run(count - 1), in order, each as soon as it and
+    the ones before it are done.
+
+    With more than one chunk and more than one usable CPU, the chunks
+    run in a pool of up to one forked worker process per CPU. The
+    workers inherit run, and with it everything the evaluator has built,
+    so only chunk indices go out and results come back. The pool lives
+    for the with block, so no worker outlives it, also when a chunk
+    raises; a worker's exception reaches the caller with its own type.
+    """
+    workers = min(_usable_cpus(), count)
+    if workers <= 1:
+        yield map(run, range(count))
+        return
+    # imported here, so that a run that never forks does not pay for them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(
+        workers, mp_context=context, initializer=_start_worker, initargs=(run,)
+    ) as pool:
+        yield pool.map(_run_in_worker, range(count))
+
+
 def _batched_logistic(
     d_train: Dataset,
     d_eval: Dataset,
     spec: ClassifierSpec,
     size: int,
     sweep: "_ThresholdSweep",
-    keep_fits: Fits | None,
     reuse_fits: Fits | None,
-) -> Evaluator:
+) -> Callable[[list[Task]], tuple[list[EvaluationPoint], list[np.ndarray | str]]]:
     """Logistic evaluation of a chunk of tasks through one batched fit.
 
     One-hot categories are fixed once on the training split, so two raw
@@ -383,8 +452,8 @@ def _batched_logistic(
     differs from fitting each sample through FeaturePipeline.
 
     A task found in reuse_fits is re-scored from its recorded fit (or
-    keeps its recorded failure) without drawing or fitting; every task's
-    outcome is recorded in keep_fits when given.
+    keeps its recorded failure) without drawing or fitting; a chunk
+    returns its points and every task's fit or failure.
     """
     pipeline = FeaturePipeline().fit(d_train)
     train_matrix = pipeline.encode(d_train)
@@ -423,7 +492,7 @@ def _batched_logistic(
         coef[:, width] = b - np.sum(w * mean / std, axis=1)
         return coef
 
-    def run_chunk(chunk: list[Task]) -> list[EvaluationPoint]:
+    def run_chunk(chunk: list[Task]) -> tuple[list[EvaluationPoint], list[np.ndarray | str]]:
         # per task: a recorded fit or failure, or None until it is fitted
         outcomes: list[np.ndarray | str | None] = [
             known.get((params, seed)) for params, _, seed in chunk
@@ -439,9 +508,6 @@ def _batched_logistic(
                 if reason is None and not next(drawn):
                     reason = "training data contains a single label value"
                 outcomes[k] = next(coef) if reason is None else reason
-        if keep_fits is not None:
-            for (params, _, seed), outcome in zip(chunk, outcomes):
-                keep_fits[(params, seed)] = outcome
         scored = [(t, o) for t, o in zip(chunk, outcomes) if not isinstance(o, str)]
         points: list[EvaluationPoint] = []
         for start in range(0, len(scored), _SWEEP_BLOCK):
@@ -455,7 +521,7 @@ def _batched_logistic(
             if isinstance(outcome, str)
             else next(scored_points)
             for task, outcome in zip(chunk, outcomes)
-        ]
+        ], outcomes
 
     return run_chunk
 
@@ -476,7 +542,10 @@ def make_model_evaluator(
     pass (_draw_chunk). Logistic specs, numeric or categorical, fit a
     chunk through the batched descent kernel (see _batched_logistic);
     every other kind trains each sample through classifiers.fit.
-    Chunking is a memory knob only, results do not depend on it.
+    Chunking is a memory knob only, results do not depend on it. A call
+    with several chunks runs them on worker processes, one per usable
+    CPU at most (_chunk_results), and merges their results in chunk
+    order, so results do not depend on the number of workers either.
 
     For logistic specs, keep_fits collects each task's fit and
     reuse_fits supplies fits to re-score instead of training again; a
@@ -487,10 +556,10 @@ def make_model_evaluator(
     check_int(chunk_size, "chunk_size", 1)
     sweep = _ThresholdSweep(d_eval, weights)
     if spec.kind == "logistic":
-        run_chunk = _batched_logistic(d_train, d_eval, spec, size, sweep, keep_fits, reuse_fits)
+        run_chunk = _batched_logistic(d_train, d_eval, spec, size, sweep, reuse_fits)
     else:
 
-        def run_chunk(chunk: list[Task]) -> list[EvaluationPoint]:
+        def run_chunk(chunk: list[Task]) -> tuple[list[EvaluationPoint], None]:
             rows, reasons = _draw_chunk(d_train, chunk, size)
             drawn = iter(rows)
             out: list[EvaluationPoint] = []
@@ -505,12 +574,21 @@ def make_model_evaluator(
                     continue
                 scores = np.asarray(model.predict_scores(d_eval))
                 out.extend(sweep.points([task], scores[:, None], spec.kind, size))
-            return out
+            return out, None
 
     def evaluate(tasks: list[Task]) -> list[EvaluationPoint]:
+        chunks = [tasks[start : start + chunk_size] for start in range(0, len(tasks), chunk_size)]
+
+        def run(index: int) -> tuple[list[EvaluationPoint], list[np.ndarray | str] | None]:
+            points, outcomes = run_chunk(chunks[index])
+            return points, outcomes if keep_fits is not None else None
+
         out: list[EvaluationPoint] = []
-        for start in range(0, len(tasks), chunk_size):
-            out.extend(run_chunk(tasks[start : start + chunk_size]))
+        with _chunk_results(run, len(chunks)) as results:
+            for chunk, (points, outcomes) in zip(chunks, results):
+                out.extend(points)
+                if outcomes is not None:
+                    keep_fits.update(zip([(p, seed) for p, _, seed in chunk], outcomes))
         return out
 
     return evaluate

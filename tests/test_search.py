@@ -9,6 +9,8 @@ fit/predict API.
 from __future__ import annotations
 
 import itertools
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -775,6 +777,25 @@ def test_chunk_sweep_matches_explicit_thresholding():
     assert chosen[-1][1].combined_loss is None
 
 
+def test_threshold_columns_match_a_per_task_lookup():
+    # level-0 tasks share the grid's tuple and level-1 tasks their
+    # winner's; the columns are computed once per distinct tuple
+    grid = (0.1, 0.3, 0.5, 0.7, 0.9)
+    refined = (0.45, 0.5, 0.55)
+    thresholds = [grid, refined, grid, (0.3, 0.45), tuple(refined), (0.2,), grid, (0.3, 0.45)]
+    union, member, first = search_mod._threshold_columns(thresholds)
+    assert union.tolist() == sorted({t for ts in thresholds for t in ts})
+    want_member = np.zeros((len(thresholds), len(union)), dtype=bool)
+    want_first = np.empty(len(thresholds), dtype=np.int64)
+    for row, ts in enumerate(thresholds):
+        cols = np.searchsorted(union, np.asarray(ts, dtype=float))
+        want_member[row, cols] = True
+        want_first[row] = cols[0]
+    assert np.array_equal(member, want_member)
+    assert np.array_equal(first, want_first)
+    assert first.dtype == want_first.dtype
+
+
 def test_model_evaluator_single_label_sample_is_quarantined():
     spec = ClassifierSpec(kind="logistic", params={})
     # a sample of one record cannot contain both labels
@@ -847,6 +868,8 @@ def test_full_search_fits_each_lattice_point_once(corpus, monkeypatch):
         thresholds=(0.25, 0.5, 0.75),
     )
     problems, made = [], []
+    # calls made in a worker process are not counted here
+    monkeypatch.setattr(search_mod, "_usable_cpus", lambda: 1)
 
     def counting(stacked_x, *args):
         problems.append(len(stacked_x))
@@ -901,6 +924,71 @@ def test_inspect_point_rebuilds_the_search_optimum_exactly(corpus, spec):
         best.size, best.seed,
     )
     assert again.to_dict() == best.to_dict()
+
+
+# ---------------------------------------------------------------------------
+# a level's chunks on worker processes
+
+LOGISTIC = ClassifierSpec(kind="logistic", params={})
+POOL_CASES = {
+    "logistic-numeric": (TRAIN, EVAL, LOGISTIC),
+    "logistic-categorical": (CAT_TRAIN, CAT_EVAL, LOGISTIC),
+    "forest-numeric": (TRAIN, EVAL, ClassifierSpec(kind="forest", params={"n_trees": 4}, seed=3)),
+}
+# twelve tasks in three chunks of four
+POOL_TASKS = [t for s in (21, 22, 23) for t in model_tasks(global_seed=s)]
+POOL_CHUNK = 4
+
+
+@pytest.mark.parametrize("case", sorted(POOL_CASES))
+def test_worker_processes_give_the_in_process_results(case, monkeypatch, tmp_path):
+    d_train, d_eval, spec = POOL_CASES[case]
+    draws = tmp_path / "draws"
+    draw_chunk = search_mod._draw_chunk
+
+    def logging_draw(*args):
+        with open(draws, "a") as fh:  # the processes that drew a chunk
+            fh.write(f"{os.getpid()}\n")
+        return draw_chunk(*args)
+
+    monkeypatch.setattr(search_mod, "_draw_chunk", logging_draw)
+    runs = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(search_mod, "_usable_cpus", lambda: workers)
+        draws.write_text("")
+        fits: dict = {}
+        evaluate = make_model_evaluator(
+            d_train, d_eval, spec, WEIGHTS, SIZE, chunk_size=POOL_CHUNK, keep_fits=fits
+        )
+        runs[workers] = evaluate(POOL_TASKS), fits
+        assert multiprocessing.active_children() == []
+        drawn_by = draws.read_text().split()
+        assert len(drawn_by) == len(POOL_TASKS) // POOL_CHUNK
+        assert (str(os.getpid()) in drawn_by) == (workers == 1)
+    (points, fits), (pooled, pooled_fits) = runs[1], runs[2]
+    assert [p.to_dict() for p in pooled] == [p.to_dict() for p in points]
+    assert pooled_fits.keys() == fits.keys()
+    assert len(fits) == (len(POOL_TASKS) if spec.kind == "logistic" else 0)
+    for key, fit in fits.items():
+        assert np.array_equal(pooled_fits[key], fit)
+
+
+def test_a_worker_error_reaches_the_caller_and_no_worker_outlives_it(monkeypatch):
+    parent = os.getpid()
+
+    def failing(*args):
+        if os.getpid() != parent:
+            raise ZeroDivisionError("raised in a worker")
+        return fit_logistic_batch(*args)
+
+    monkeypatch.setattr(search_mod, "fit_logistic_batch", failing)
+    monkeypatch.setattr(search_mod, "_usable_cpus", lambda: 2)
+    evaluate = make_model_evaluator(TRAIN, EVAL, LOGISTIC, WEIGHTS, SIZE, chunk_size=POOL_CHUNK)
+    with pytest.raises(ZeroDivisionError, match="raised in a worker"):
+        evaluate(POOL_TASKS)
+    assert multiprocessing.active_children() == []
+    # one chunk runs in this process, so it never reaches the failing fit
+    assert len(evaluate(POOL_TASKS[:POOL_CHUNK])) == POOL_CHUNK
 
 
 # ---------------------------------------------------------------------------
