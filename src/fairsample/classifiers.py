@@ -6,10 +6,10 @@ where y holds 0/1 floats with 1 meaning the unfavourable outcome, and
 ``predict_scores(X)`` returning P(unfavourable) in [0, 1]. New kinds
 can be registered at runtime, which the tests use to inject stubs.
 
-The logistic trainer is written as a batched kernel over a stack of
-(N, F) problems so a parameter sweep can fit many candidate models in
-one vectorised pass; a single fit is the K=1 case of the same code
-path, so results never depend on which path ran.
+The two linear models (logistic and SVM) share one trainer, a batched
+kernel over a stack of (N, F) problems, so a parameter sweep can fit
+many candidate models in one vectorised pass; a single fit is the K=1
+case of the same code path, so results never depend on which path ran.
 """
 from __future__ import annotations
 
@@ -45,7 +45,7 @@ def _require_two_classes(y: np.ndarray) -> None:
 
 
 # ---------------------------------------------------------------------------
-# logistic regression
+# linear models: logistic regression and linear SVM
 
 def fit_logistic_batch(
     stacked_x: np.ndarray,
@@ -54,8 +54,11 @@ def fit_logistic_batch(
     l2: float,
     max_iter: int,
     tol: float,
+    hinge: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Full-batch gradient descent over K independent logistic problems.
+    """Full-batch gradient descent over K independent L2-regularised
+    linear problems: logistic loss, or with hinge the hinge loss by
+    subgradient descent.
 
     stacked_x is (K, N, F), stacked_y is (K, N). Returns weights (K, F),
     intercepts (K,) and iteration counts (K,). Each problem stops on its
@@ -70,8 +73,9 @@ def fit_logistic_batch(
     intercepts = np.zeros(k)
     iterations = np.zeros(k, dtype=int)
     # compact working set: converged problems leave it so the rest
-    # keep iterating without per-step masking costs
-    work_x, work_y = stacked_x, stacked_y
+    # keep iterating without per-step masking costs; the hinge loss
+    # works on the labels as signs, 2y - 1
+    work_x, work_y = stacked_x, 2.0 * stacked_y - 1.0 if hinge else stacked_y
     w = np.zeros((k, f))
     b = np.zeros(k)
     idx = np.arange(k)
@@ -84,11 +88,14 @@ def fit_logistic_batch(
             break
         residual = np.matmul(work_x, w[:, :, None], out=buffer[: idx.size])[:, :, 0]
         residual += b[:, None]
-        residual *= 0.5
-        np.tanh(residual, out=residual)
-        residual += 1.0
-        residual *= 0.5
-        residual -= work_y
+        if hinge:  # the subgradient: -sign on rows with margin below 1
+            residual = np.where(work_y * residual < 1.0, -work_y, 0.0)
+        else:
+            residual *= 0.5
+            np.tanh(residual, out=residual)
+            residual += 1.0
+            residual *= 0.5
+            residual -= work_y
         grad_w = (residual[:, None, :] @ work_x)[:, 0, :] / n + l2 * w
         grad_b = np.add.reduce(residual, axis=1) / n  # mean's float operations, without its wrapper
         step_w = learning_rate * grad_w
@@ -112,7 +119,14 @@ def fit_logistic_batch(
 
 
 class _GradientDescent(ParamsMixin):
-    """Settings shared by the two linear models trained by descent."""
+    """A linear model fitted by fit_logistic_batch as its K=1 case.
+
+    Scores are the decision value through a logistic, so they live on
+    the [0, 1] scale the thresholding code expects. The class attribute
+    hinge picks the loss; it is the model's kind, not a parameter.
+    """
+
+    hinge = False
 
     def __init__(
         self,
@@ -133,17 +147,13 @@ class _GradientDescent(ParamsMixin):
         check_number(self.tol, "tol", 0.0, ends="[)")
         check_int(self.max_iter, "max_iter", 1)
 
-
-class LogisticRegression(_GradientDescent):
-    """L2-regularised logistic regression, plain gradient descent."""
-
-    def fit(self, x: np.ndarray, y: np.ndarray) -> "LogisticRegression":
+    def fit(self, x: np.ndarray, y: np.ndarray) -> "_GradientDescent":
         self._check_params()
         x = as_float_matrix(x)
         y = as_label_vector(y, len(x))
         _require_two_classes(y)
         w, b, its = fit_logistic_batch(
-            x[None], y[None], self.learning_rate, self.l2, self.max_iter, self.tol
+            x[None], y[None], self.learning_rate, self.l2, self.max_iter, self.tol, self.hinge
         )
         self.coef_ = w[0]
         self.intercept_ = float(b[0])
@@ -158,54 +168,14 @@ class LogisticRegression(_GradientDescent):
         return _sigmoid(self.decision_function(x))
 
 
-# ---------------------------------------------------------------------------
-# linear SVM
-
-def hinge_grad(
-    w: np.ndarray, b: float, x: np.ndarray, y: np.ndarray, l2: float
-) -> tuple[np.ndarray, float]:
-    signed = 2.0 * y - 1.0
-    margin = signed * (x @ w + b)
-    viol = margin < 1.0
-    grad_w = -(x[viol].T @ signed[viol]) / len(y) + l2 * w
-    grad_b = -signed[viol].sum() / len(y)
-    return grad_w, float(grad_b)
+class LogisticRegression(_GradientDescent):
+    """L2-regularised logistic regression, plain gradient descent."""
 
 
 class LinearSVM(_GradientDescent):
-    """Linear SVM via subgradient descent on the hinge objective.
+    """Linear SVM via subgradient descent on the hinge objective."""
 
-    Scores are the decision margin squashed through a logistic so they
-    live on the same [0, 1] scale the thresholding code expects.
-    """
-
-    def fit(self, x: np.ndarray, y: np.ndarray) -> "LinearSVM":
-        self._check_params()
-        x = as_float_matrix(x)
-        y = as_label_vector(y, len(x))
-        _require_two_classes(y)
-        w = np.zeros(x.shape[1])
-        b = 0.0
-        self.n_iter_ = 0
-        for it in range(self.max_iter):
-            grad_w, grad_b = hinge_grad(w, b, x, y, self.l2)
-            step_w = self.learning_rate * grad_w
-            step_b = self.learning_rate * grad_b
-            w -= step_w
-            b -= step_b
-            self.n_iter_ = it + 1
-            if max(np.abs(step_w).max(), abs(step_b)) < self.tol:
-                break
-        self.coef_ = w
-        self.intercept_ = b
-        return self
-
-    def decision_function(self, x: np.ndarray) -> np.ndarray:
-        check_fitted(self, "coef_")
-        return as_float_matrix(x) @ self.coef_ + self.intercept_
-
-    def predict_scores(self, x: np.ndarray) -> np.ndarray:
-        return _sigmoid(self.decision_function(x))
+    hinge = True
 
 
 # ---------------------------------------------------------------------------

@@ -10,15 +10,15 @@ the whole fine lattice, so sample size never varies between points.
 
 Evaluation is pluggable: the default evaluator samples, trains and
 scores real models, while tests inject analytic stubs through the same
-seam. Logistic fits, on numeric and categorical features alike, go
-through one vectorised kernel a chunk of tasks at a time, with the
-one-hot categories fixed on the training split. A level's chunks run
-in forked worker processes, one per usable CPU at most.
+seam. Linear (logistic, svm) fits, on numeric and categorical features
+alike, go through one vectorised kernel a chunk of tasks at a time,
+with the one-hot categories fixed on the training split. A level's
+chunks run in forked worker processes, one per usable CPU at most.
 All ordering is deterministic; per-point seeds hash the global seed
 with the fine-lattice indices, so a point revisited at level 1 reuses
 exactly the sample it had at level 0. A full search therefore trains a
-logistic model at each lattice point once and re-scores level 0's fits
-at level 1.
+linear (logistic, svm) model at each lattice point once and re-scores
+level 0's fits at level 1.
 """
 from __future__ import annotations
 
@@ -47,8 +47,9 @@ from .balance import (
 from .base import InfeasibleError, InputError, SearchError, TrainingError, check_int, check_number
 from .classifiers import (
     ClassifierSpec,
-    LogisticRegression,
+    _GradientDescent,
     _sigmoid as _sigmoid_scores,
+    build_estimator,
     fit,
     fit_logistic_batch,
 )
@@ -104,6 +105,7 @@ class GridSpec:
         check_int(self.top_k, "top_k", 1)
         if self.neighborhood is not None:
             check_number(self.neighborhood, "neighborhood", 0.0, 1.0, "(]")
+        self.half_width_units  # a neighborhood off the fine lattice fails here
         object.__setattr__(self, "thresholds", threshold_grid(self.thresholds))
 
     @property
@@ -339,6 +341,8 @@ class _ThresholdSweep:
 # tasks scored and swept together: a chunk-wide (N_eval, chunk) score
 # matrix would add to the chunk's peak memory for no change in results
 _SWEEP_BLOCK = 32
+# tasks drawn and fitted together, a worker's unit; results do not depend on it
+_CHUNK = 256
 
 
 def _invalid_point(task: Task, kind: str, size: int, message: str) -> EvaluationPoint:
@@ -375,7 +379,7 @@ def _draw_chunk(
     return rows, [next(drawn) if reason is None else reason for reason in reasons]
 
 
-# a task's logistic fit in the raw feature basis, (w_raw..., b_raw), or
+# a task's linear fit in the raw feature basis, (w_raw..., b_raw), or
 # the reason the task has none, keyed by (params, seed)
 Fits = dict[tuple[BalanceParams, int], "np.ndarray | str"]
 
@@ -431,15 +435,17 @@ def _chunk_results(run: Callable[[int], Any], count: int) -> Iterator[Iterator[A
         yield pool.map(_run_in_worker, range(count))
 
 
-def _batched_logistic(
+def _batched_linear(
     d_train: Dataset,
     d_eval: Dataset,
     spec: ClassifierSpec,
+    template: _GradientDescent,
     size: int,
     sweep: "_ThresholdSweep",
     reuse_fits: Fits | None,
 ) -> Callable[[list[Task]], tuple[list[EvaluationPoint], list[np.ndarray | str]]]:
-    """Logistic evaluation of a chunk of tasks through one batched fit.
+    """Linear (logistic, svm) evaluation of a chunk of tasks through one
+    batched fit with template's settings and loss.
 
     One-hot categories are fixed once on the training split, so two raw
     matrices built once serve every task. A category a sample lacks is
@@ -463,7 +469,8 @@ def _batched_logistic(
     for start, stop in pipeline.categorical_blocks():
         one_hot_columns[start:stop] = True
     train_labels = d_train.unfavourable.astype(float)
-    template = LogisticRegression(**spec.params)
+    # fit_logistic_batch's settings after the stacks, in its order
+    descent = (template.learning_rate, template.l2, template.max_iter, template.tol, template.hinge)
     known = reuse_fits or {}
 
     def fit_samples(rows: np.ndarray) -> np.ndarray:
@@ -484,9 +491,7 @@ def _batched_logistic(
         std[std == 0.0] = 1.0
         std[:, one_hot_columns] = 1.0
         xs /= std[:, None, :]
-        w, b, _ = fit_logistic_batch(
-            xs, ys, template.learning_rate, template.l2, template.max_iter, template.tol
-        )
+        w, b, _ = fit_logistic_batch(xs, ys, *descent)
         coef = np.empty((len(rows), width + 1))
         coef[:, :width] = w / std
         coef[:, width] = b - np.sum(w * mean / std, axis=1)
@@ -532,31 +537,30 @@ def make_model_evaluator(
     spec: ClassifierSpec,
     weights: LossWeights,
     size: int,
-    chunk_size: int = 256,
     keep_fits: Fits | None = None,
     reuse_fits: Fits | None = None,
 ) -> Evaluator:
     """The real evaluator: sample, train, score, pick the threshold.
 
-    Tasks run in fixed chunks, and each chunk draws its samples in one
-    pass (_draw_chunk). Logistic specs, numeric or categorical, fit a
-    chunk through the batched descent kernel (see _batched_logistic);
-    every other kind trains each sample through classifiers.fit.
-    Chunking is a memory knob only, results do not depend on it. A call
+    Tasks run in chunks of _CHUNK, and each chunk draws its samples in
+    one pass (_draw_chunk). Linear (logistic, svm) specs, numeric or
+    categorical, fit a chunk through the batched descent kernel (see
+    _batched_linear); every other kind trains each sample through
+    classifiers.fit. Results do not depend on the chunk size. A call
     with several chunks runs them on worker processes, one per usable
     CPU at most (_chunk_results), and merges their results in chunk
     order, so results do not depend on the number of workers either.
 
-    For logistic specs, keep_fits collects each task's fit and
-    reuse_fits supplies fits to re-score instead of training again; a
-    recorded fit is valid only for the same training split, spec and
-    size. Other kinds ignore both.
+    For linear (logistic, svm) specs, keep_fits collects each task's
+    fit and reuse_fits supplies fits to re-score instead of training
+    again; a recorded fit is valid only for the same training split,
+    spec and size. Other kinds ignore both.
     """
     check_int(size, "sample size", 1)
-    check_int(chunk_size, "chunk_size", 1)
     sweep = _ThresholdSweep(d_eval, weights)
-    if spec.kind == "logistic":
-        run_chunk = _batched_logistic(d_train, d_eval, spec, size, sweep, reuse_fits)
+    template = build_estimator(spec)
+    if isinstance(template, _GradientDescent):
+        run_chunk = _batched_linear(d_train, d_eval, spec, template, size, sweep, reuse_fits)
     else:
 
         def run_chunk(chunk: list[Task]) -> tuple[list[EvaluationPoint], None]:
@@ -577,7 +581,7 @@ def make_model_evaluator(
             return out, None
 
     def evaluate(tasks: list[Task]) -> list[EvaluationPoint]:
-        chunks = [tasks[start : start + chunk_size] for start in range(0, len(tasks), chunk_size)]
+        chunks = [tasks[start : start + _CHUNK] for start in range(0, len(tasks), _CHUNK)]
 
         def run(index: int) -> tuple[list[EvaluationPoint], list[np.ndarray | str] | None]:
             points, outcomes = run_chunk(chunks[index])
@@ -816,7 +820,9 @@ def full_search(
     sink: Sink | None = None,
 ) -> SearchResult:
     """Run both levels, extract the front from the fine results and
-    pick the optimum under the grid's weights.
+    pick the optimum under the grid's weights. For linear (logistic,
+    svm) specs, level 1 re-scores level 0's fits instead of fitting
+    its points again.
 
     With no valid level-0 point the fine level is skipped and the
     result carries an empty front and no best point; callers decide
@@ -824,7 +830,7 @@ def full_search(
     """
     if size is None:
         size = _common_size(d_train, grid)
-    fits: Fits = {}  # level 0's logistic fits, re-scored at level 1
+    fits: Fits = {}  # level 0's linear (logistic, svm) fits, re-scored at level 1
     eval0, eval1 = evaluators or (
         make_model_evaluator(
             d_train, d_eval_level0, spec, grid.weights, size, keep_fits=fits

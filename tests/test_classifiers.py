@@ -19,7 +19,6 @@ from fairsample.classifiers import (
     classifier_kinds,
     fit,
     fit_logistic_batch,
-    hinge_grad,
     load_external_scores,
     predict_labels,
     register_kind,
@@ -56,6 +55,31 @@ def hinge_loss(w, b, x, y, l2):
     signed = 2.0 * y - 1.0
     margin = signed * (x @ w + b)
     return float(np.mean(np.maximum(0.0, 1.0 - margin)) + 0.5 * l2 * np.dot(w, w))
+
+
+def hinge_grad(w, b, x, y, l2):
+    signed = 2.0 * y - 1.0
+    margin = signed * (x @ w + b)
+    viol = margin < 1.0
+    grad_w = -(x[viol].T @ signed[viol]) / len(y) + l2 * w
+    grad_b = -signed[viol].sum() / len(y)
+    return grad_w, float(grad_b)
+
+
+def naive_descent(grad_fn, x, y, learning_rate, l2, max_iter, tol):
+    """One problem at a time, the gradient from grad_fn: (w, b, iterations)."""
+    w = np.zeros(x.shape[1])
+    b = 0.0
+    performed = 0
+    for it in range(max_iter):
+        gw, gb = grad_fn(w, b, x, y, l2)
+        sw, sb = learning_rate * gw, learning_rate * gb
+        w -= sw
+        b -= sb
+        performed = it + 1
+        if max(np.abs(sw).max(), abs(sb)) < tol:
+            break
+    return w, b, performed
 
 
 def finite_diff(loss_fn, w, b, x, y, l2, h=1e-6):
@@ -104,32 +128,53 @@ def test_logistic_matches_naive_descent_loop():
     y = (rng.random(60) < 0.5).astype(float)
     est = LogisticRegression(learning_rate=0.2, l2=1e-3, max_iter=150, tol=1e-7)
     est.fit(x, y)
-
-    w = np.zeros(4)
-    b = 0.0
-    for _ in range(150):
-        gw, gb = logistic_grad(w, b, x, y, 1e-3)
-        sw, sb = 0.2 * gw, 0.2 * gb
-        w -= sw
-        b -= sb
-        if max(np.abs(sw).max(), abs(sb)) < 1e-7:
-            break
+    w, b, _ = naive_descent(logistic_grad, x, y, 0.2, 1e-3, 150, 1e-7)
     assert np.allclose(est.coef_, w, atol=1e-12)
     assert abs(est.intercept_ - b) < 1e-12
 
 
-def test_batched_fit_equals_solo_fits():
+def test_svm_matches_naive_subgradient_loop():
+    # the kernel sums the hinge subgradient over every row, zeros
+    # included, where the loop sums the violators only
+    rng = np.random.default_rng(9)
+    stopped_early = 0
+    for _ in range(40):
+        n, f = rng.integers(20, 120), rng.integers(1, 8)
+        x = rng.normal(size=(n, f)) * rng.uniform(0.2, 3.0, size=f)
+        y = (x[:, 0] > 0).astype(float)
+        # a gap between the classes, so some fits leave every margin
+        # above 1 and stop on tol
+        x[:, 0] += np.where(y == 1.0, 0.5, -0.5)
+        settings = dict(
+            learning_rate=rng.uniform(0.05, 0.5),
+            l2=10 ** rng.uniform(-4, -1),
+            max_iter=int(rng.integers(50, 400)),
+            tol=10 ** rng.uniform(-6, -3),
+        )
+        est = LinearSVM(**settings).fit(x, y)
+        w, b, performed = naive_descent(hinge_grad, x, y, **settings)
+        assert est.n_iter_ == performed
+        stopped_early += performed < settings["max_iter"]
+        assert est.coef_ == pytest.approx(w, rel=1e-12, abs=1e-12)
+        assert est.intercept_ == pytest.approx(b, rel=1e-12, abs=1e-12)
+    assert 0 < stopped_early < 40  # both stopping rules were met
+
+
+@pytest.mark.parametrize("hinge", [False, True], ids=["logistic", "hinge"])
+def test_batched_fit_equals_solo_fits(hinge):
     rng = np.random.default_rng(11)
     k, n, f = 6, 50, 3
     stacked_x = rng.normal(size=(k, n, f))
     # different scales so instances converge at different iterations
     stacked_x *= (0.2 + np.arange(k))[:, None, None]
     stacked_y = (rng.random((k, n)) < 0.5).astype(float)
-    bw, bb, bit = fit_logistic_batch(stacked_x, stacked_y, 0.1, 1e-4, 300, 1e-4)
+    if hinge:  # separate the classes, so some subgradient fits stop on tol
+        stacked_x[:, :, 0] += np.where(stacked_y == 1.0, 1.0, -1.0)
+    bw, bb, bit = fit_logistic_batch(stacked_x, stacked_y, 0.1, 1e-4, 300, 1e-4, hinge)
     assert len(set(bit.tolist())) > 1  # the early-stop mask actually fired
     for i in range(k):
         sw, sb, sit = fit_logistic_batch(
-            stacked_x[i : i + 1], stacked_y[i : i + 1], 0.1, 1e-4, 300, 1e-4
+            stacked_x[i : i + 1], stacked_y[i : i + 1], 0.1, 1e-4, 300, 1e-4, hinge
         )
         assert sit[0] == bit[i]
         assert np.max(np.abs(sw[0] - bw[i])) < 1e-10

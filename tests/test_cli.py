@@ -886,6 +886,22 @@ def test_search_with_only_degenerate_classifier_warns_and_fails(tmp_path):
     assert front == []  # quarantined from the front
 
 
+def test_neighborhood_off_the_fine_lattice_is_a_config_error(tmp_path):
+    out = tmp_path / "off_lattice_out"
+    cfg = write_config(
+        tmp_path / "off_lattice.yaml",
+        f"""\
+        dataset: {{synthetic: {{quadrants: [520, 60, 130, 40]}}}}
+        grid: {{level0_step: 0.5, level1_step: 0.25, neighborhood: 0.3}}
+        out: {out}
+        """,
+    )
+    result = runner.invoke(main, ["search", "--config", cfg])
+    assert result.exit_code == 2, result.output
+    assert "neighborhood must be a multiple of level1_step" in result.output
+    assert not list(tmp_path.glob("**/points_*.jsonl"))  # rejected before level 0
+
+
 def test_search_needs_three_split_parts(tmp_path):
     cfg = write_config(
         tmp_path / "two.yaml",

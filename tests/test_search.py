@@ -170,9 +170,12 @@ def test_grid_spec_rejects_bad_knobs():
 
 
 def test_neighborhood_must_align_with_fine_step():
-    g = GridSpec(neighborhood=0.015)
-    with pytest.raises(InputError, match="multiple"):
-        g.half_width_units
+    # rejected when the grid is built, before any level is searched
+    for level0_step, level1_step, neighborhood in [
+        (0.1, 0.01, 0.015), (0.5, 0.25, 0.3), (0.1, 0.05, 0.12), (0.1, 0.01, 0.004),
+    ]:
+        with pytest.raises(InputError, match="multiple of level1_step"):
+            GridSpec(level0_step=level0_step, level1_step=level1_step, neighborhood=neighborhood)
     assert GridSpec(neighborhood=0.05).half_width_units == 5
     assert GridSpec().half_width_units == 10  # defaults to one coarse step
 
@@ -660,24 +663,26 @@ def test_categorical_corpus_samples_miss_and_catch_the_rare_value():
 @pytest.mark.parametrize("corpus", sorted(CORPORA))
 def test_model_evaluator_matches_reference(corpus):
     d_train, d_eval = CORPORA[corpus]
-    spec = ClassifierSpec(kind="logistic", params={})
-    evaluate = make_model_evaluator(d_train, d_eval, spec, WEIGHTS, SIZE)
     tasks = model_tasks()
-    points = evaluate(tasks)
-    assert len(points) == len(tasks)
-    for task, point in zip(tasks, points):
-        assert point.valid
-        assert point.seed == task[2]
-        assert point.size == SIZE
-        threshold, report = reference_point(d_train, d_eval, spec, task, SIZE)
-        assert point.threshold == threshold
-        got, want = point.report.to_dict(), report.to_dict()
-        assert got.keys() == want.keys()
-        for key in want:
-            if want[key] is None:
-                assert got[key] is None
-            else:
-                assert got[key] == pytest.approx(want[key], rel=1e-9, abs=1e-9)
+    for kind in ("logistic", "svm"):
+        spec = ClassifierSpec(kind=kind, params={})
+        evaluate = make_model_evaluator(d_train, d_eval, spec, WEIGHTS, SIZE)
+        points = evaluate(tasks)
+        assert len(points) == len(tasks)
+        for task, point in zip(tasks, points):
+            assert point.valid
+            assert point.seed == task[2]
+            assert point.size == SIZE
+            assert point.classifier_kind == kind
+            threshold, report = reference_point(d_train, d_eval, spec, task, SIZE)
+            assert point.threshold == threshold
+            got, want = point.report.to_dict(), report.to_dict()
+            assert got.keys() == want.keys()
+            for key in want:
+                if want[key] is None:
+                    assert got[key] is None
+                else:
+                    assert got[key] == pytest.approx(want[key], rel=1e-9, abs=1e-9)
 
 
 def test_model_evaluator_generic_kind_matches_reference():
@@ -697,7 +702,7 @@ def test_model_evaluator_generic_kind_matches_reference():
 
 
 @pytest.mark.parametrize("corpus", sorted(CORPORA))
-def test_model_evaluator_chunk_size_is_only_a_memory_knob(corpus):
+def test_model_evaluator_chunk_size_is_only_a_memory_knob(corpus, monkeypatch):
     d_train, d_eval = CORPORA[corpus]
     # more tasks than one scoring block, so the default chunk crosses a
     # block boundary
@@ -710,9 +715,9 @@ def test_model_evaluator_chunk_size_is_only_a_memory_knob(corpus):
     for spec in specs:
         baseline = make_model_evaluator(d_train, d_eval, spec, WEIGHTS, SIZE)(tasks)
         for chunk in (1, 3):
-            other = make_model_evaluator(
-                d_train, d_eval, spec, WEIGHTS, SIZE, chunk_size=chunk
-            )(tasks)
+            monkeypatch.setattr(search_mod, "_CHUNK", chunk)
+            other = make_model_evaluator(d_train, d_eval, spec, WEIGHTS, SIZE)(tasks)
+            monkeypatch.undo()
             assert [p.to_dict() for p in other] == [p.to_dict() for p in baseline]
 
 
@@ -811,8 +816,6 @@ def test_model_evaluator_validates_arguments():
     spec = ClassifierSpec(kind="logistic", params={})
     with pytest.raises(InputError, match="sample size"):
         make_model_evaluator(TRAIN, EVAL, spec, WEIGHTS, size=0)
-    with pytest.raises(InputError, match="chunk_size"):
-        make_model_evaluator(TRAIN, EVAL, spec, WEIGHTS, SIZE, chunk_size=0)
 
 
 def test_infeasible_lattice_points_are_marked_not_raised():
@@ -861,13 +864,11 @@ REUSE_CORPORA = {
 @pytest.mark.parametrize("corpus", sorted(REUSE_CORPORA))
 def test_full_search_fits_each_lattice_point_once(corpus, monkeypatch):
     d_train, eval0, eval1 = REUSE_CORPORA[corpus]
-    spec = ClassifierSpec(kind="logistic", params={})
     # level 1 is the whole quarter-step cube, so it holds every level-0 point
     grid = GridSpec(
         level0_step=0.5, level1_step=0.25, top_k=1, neighborhood=1.0,
         thresholds=(0.25, 0.5, 0.75),
     )
-    problems, made = [], []
     # calls made in a worker process are not counted here
     monkeypatch.setattr(search_mod, "_usable_cpus", lambda: 1)
 
@@ -881,26 +882,29 @@ def test_full_search_fits_each_lattice_point_once(corpus, monkeypatch):
 
     monkeypatch.setattr(search_mod, "fit_logistic_batch", counting)
     monkeypatch.setattr(search_mod, "make_model_evaluator", spying)
-    result = full_search(d_train, eval0, eval1, spec, grid, seed=2)
-    assert {p.params for p in result.level0} <= {p.params for p in result.level1}
-    assert len(result.level1) == 125
-    drawn = [p for p in result.level1 if p.error is None]
-    assert sum(problems) == len(drawn)
-    if corpus == "infeasible":
-        assert any(p.error is not None for p in result.level0)
-    # a fresh evaluator on the same level-1 tasks fits every point itself
-    fresh_fits: dict = {}
-    fresh = grid_search_level1(
-        list(result.level0), d_train, eval1, spec, grid, seed=2, size=result.size,
-        evaluate=make_model_evaluator(
-            d_train, eval1, spec, grid.weights, result.size, keep_fits=fresh_fits
-        ),
-    )
-    assert [p.to_dict() for p in result.level1] == [p.to_dict() for p in fresh]
-    kept = made[0]["keep_fits"]
-    assert kept.keys() == {(p.params, p.seed) for p in result.level0}
-    for key, fit in kept.items():
-        assert np.array_equal(fit, fresh_fits[key])  # the same fit, or failure
+    for kind in ("logistic", "svm"):
+        spec = ClassifierSpec(kind=kind, params={})
+        problems, made = [], []
+        result = full_search(d_train, eval0, eval1, spec, grid, seed=2)
+        assert {p.params for p in result.level0} <= {p.params for p in result.level1}
+        assert len(result.level1) == 125
+        drawn = [p for p in result.level1 if p.error is None]
+        assert sum(problems) == len(drawn)
+        if corpus == "infeasible":
+            assert any(p.error is not None for p in result.level0)
+        # a fresh evaluator on the same level-1 tasks fits every point itself
+        fresh_fits: dict = {}
+        fresh = grid_search_level1(
+            list(result.level0), d_train, eval1, spec, grid, seed=2, size=result.size,
+            evaluate=make_model_evaluator(
+                d_train, eval1, spec, grid.weights, result.size, keep_fits=fresh_fits
+            ),
+        )
+        assert [p.to_dict() for p in result.level1] == [p.to_dict() for p in fresh]
+        kept = made[0]["keep_fits"]
+        assert kept.keys() == {(p.params, p.seed) for p in result.level0}
+        for key, fit in kept.items():
+            assert np.array_equal(fit, fresh_fits[key])  # the same fit, or failure
 
 
 @pytest.mark.parametrize("corpus", ["numeric", "categorical"])
@@ -934,6 +938,7 @@ POOL_CASES = {
     "logistic-numeric": (TRAIN, EVAL, LOGISTIC),
     "logistic-categorical": (CAT_TRAIN, CAT_EVAL, LOGISTIC),
     "forest-numeric": (TRAIN, EVAL, ClassifierSpec(kind="forest", params={"n_trees": 4}, seed=3)),
+    "svm-categorical": (CAT_TRAIN, CAT_EVAL, ClassifierSpec(kind="svm", params={})),
 }
 # twelve tasks in three chunks of four
 POOL_TASKS = [t for s in (21, 22, 23) for t in model_tasks(global_seed=s)]
@@ -953,13 +958,12 @@ def test_worker_processes_give_the_in_process_results(case, monkeypatch, tmp_pat
 
     monkeypatch.setattr(search_mod, "_draw_chunk", logging_draw)
     runs = {}
+    monkeypatch.setattr(search_mod, "_CHUNK", POOL_CHUNK)
     for workers in (1, 2):
         monkeypatch.setattr(search_mod, "_usable_cpus", lambda: workers)
         draws.write_text("")
         fits: dict = {}
-        evaluate = make_model_evaluator(
-            d_train, d_eval, spec, WEIGHTS, SIZE, chunk_size=POOL_CHUNK, keep_fits=fits
-        )
+        evaluate = make_model_evaluator(d_train, d_eval, spec, WEIGHTS, SIZE, keep_fits=fits)
         runs[workers] = evaluate(POOL_TASKS), fits
         assert multiprocessing.active_children() == []
         drawn_by = draws.read_text().split()
@@ -968,7 +972,7 @@ def test_worker_processes_give_the_in_process_results(case, monkeypatch, tmp_pat
     (points, fits), (pooled, pooled_fits) = runs[1], runs[2]
     assert [p.to_dict() for p in pooled] == [p.to_dict() for p in points]
     assert pooled_fits.keys() == fits.keys()
-    assert len(fits) == (len(POOL_TASKS) if spec.kind == "logistic" else 0)
+    assert len(fits) == (len(POOL_TASKS) if spec.kind in ("logistic", "svm") else 0)
     for key, fit in fits.items():
         assert np.array_equal(pooled_fits[key], fit)
 
@@ -983,7 +987,8 @@ def test_a_worker_error_reaches_the_caller_and_no_worker_outlives_it(monkeypatch
 
     monkeypatch.setattr(search_mod, "fit_logistic_batch", failing)
     monkeypatch.setattr(search_mod, "_usable_cpus", lambda: 2)
-    evaluate = make_model_evaluator(TRAIN, EVAL, LOGISTIC, WEIGHTS, SIZE, chunk_size=POOL_CHUNK)
+    monkeypatch.setattr(search_mod, "_CHUNK", POOL_CHUNK)
+    evaluate = make_model_evaluator(TRAIN, EVAL, LOGISTIC, WEIGHTS, SIZE)
     with pytest.raises(ZeroDivisionError, match="raised in a worker"):
         evaluate(POOL_TASKS)
     assert multiprocessing.active_children() == []
