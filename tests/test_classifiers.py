@@ -188,20 +188,61 @@ def test_batched_fit_shape_validation():
         fit_logistic_batch(np.zeros((2, 4, 3)), np.zeros((2, 5)), 0.1, 0.0, 10, 1e-6)
 
 
-def oracle_fit_logistic_batch(stacked_x, stacked_y, learning_rate, l2, max_iter, tol):
-    """The batched kernel as it was before it reused one residual buffer:
-    the same operations in the same order, each on a fresh array."""
+def oracle_fit_logistic_batch(
+    stacked_x, stacked_y, learning_rate, l2, max_iter, tol, hinge=False
+):
+    """The batched kernel without its buffers: the same operations in
+    the same order, each on a fresh array. The stack is feature-major
+    with a row of ones, so the intercept is the last coefficient; its
+    l2 decay is 0, and the logistic halves the coefficients, not z."""
+    k, n, f = stacked_x.shape
+    coefs, iterations = np.zeros((k, f + 1)), np.zeros(k, dtype=int)
+    # C order, as the kernel's copy: the memory layout picks BLAS's sum order
+    ones = np.ones((k, 1, n))
+    work_x = np.ascontiguousarray(np.concatenate([stacked_x.transpose(0, 2, 1), ones], axis=1))
+    work_y = 2.0 * stacked_y - 1.0 if hinge else stacked_y
+    decay = np.append(np.full(f, l2), 0.0)
+    c, idx = np.zeros((k, f + 1)), np.arange(k)
+    performed = 0
+    for it in range(max_iter):
+        if idx.size == 0:
+            break
+        if hinge:
+            z = (c[:, None, :] @ work_x)[:, 0, :]
+            residual = np.where(work_y * z < 1.0, -work_y, 0.0)
+        else:
+            z = ((c * 0.5)[:, None, :] @ work_x)[:, 0, :]
+            residual = 0.5 * (1.0 + np.tanh(z)) - work_y
+        grad = (work_x @ residual[:, :, None])[:, :, 0] / n + decay * c
+        step = learning_rate * grad
+        c = c - step
+        performed = it + 1
+        done = np.abs(step).max(axis=1) < tol
+        if done.any():
+            coefs[idx[done]], iterations[idx[done]] = c[done], performed
+            keep = ~done
+            work_x, work_y, c, idx = work_x[keep], work_y[keep], c[keep], idx[keep]
+    coefs[idx], iterations[idx] = c, performed
+    return coefs[:, :f], coefs[:, f], iterations
+
+
+def row_major_fit(stacked_x, stacked_y, learning_rate, l2, max_iter, tol, hinge=False):
+    """The textbook (K, N, F) formula: z = x @ w + b, the gradient as
+    residual @ x and the intercept's as the residual's mean."""
     k, n, f = stacked_x.shape
     weights, intercepts = np.zeros((k, f)), np.zeros(k)
     iterations = np.zeros(k, dtype=int)
-    work_x, work_y = stacked_x, stacked_y
+    work_x, work_y = stacked_x, 2.0 * stacked_y - 1.0 if hinge else stacked_y
     w, b, idx = np.zeros((k, f)), np.zeros(k), np.arange(k)
     performed = 0
     for it in range(max_iter):
         if idx.size == 0:
             break
         z = (work_x @ w[:, :, None])[:, :, 0] + b[:, None]
-        residual = 0.5 * (1.0 + np.tanh(0.5 * z)) - work_y
+        if hinge:
+            residual = np.where(work_y * z < 1.0, -work_y, 0.0)
+        else:
+            residual = 0.5 * (1.0 + np.tanh(0.5 * z)) - work_y
         grad_w = (residual[:, None, :] @ work_x)[:, 0, :] / n + l2 * w
         grad_b = residual.mean(axis=1)
         step_w, step_b = learning_rate * grad_w, learning_rate * grad_b
@@ -242,6 +283,10 @@ def test_batched_fit_matches_allocating_oracle(case):
     assert np.array_equal(w, want_w)
     assert np.array_equal(b, want_b)
     assert np.array_equal(its, want_its)
+    # the hinge branch writes its subgradient in place: same floats
+    hinge = fit_logistic_batch(x, y, **settings, hinge=True)
+    for got, want in zip(hinge, oracle_fit_logistic_batch(x, y, **settings, hinge=True)):
+        assert np.array_equal(got, want)
     if case == "max_iter":
         assert (its == settings["max_iter"]).all()
     elif case != "single":
@@ -249,6 +294,19 @@ def test_batched_fit_matches_allocating_oracle(case):
         assert (its < settings["max_iter"]).all()
     if case == "zero_columns":
         assert (w[:, [1, 4]] == 0.0).all() and (w[::2, 2] == 0.0).all()
+
+
+@pytest.mark.parametrize("hinge", [False, True], ids=["logistic", "hinge"])
+@pytest.mark.parametrize("case", ["max_iter", "frozen", "zero_columns"])
+def test_kernel_agrees_with_row_major_reference(case, hinge):
+    # the feature-major kernel reassociates the sums inside its two
+    # products and nothing else
+    x, y, settings = kernel_cases()[case]
+    w, b, its = fit_logistic_batch(x, y, **settings, hinge=hinge)
+    want_w, want_b, want_its = row_major_fit(x, y, **settings, hinge=hinge)
+    assert np.array_equal(its, want_its)
+    assert w == pytest.approx(want_w, rel=1e-12)
+    assert b == pytest.approx(want_b, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
