@@ -528,8 +528,8 @@ def search(config_path, seed, out_dir):
     for label, spec in zip(cfg.labels, cfg.classifiers):
         points_name = f"points_{label}.jsonl"
         with open(os.path.join(cfg.out, points_name), "w") as stream:
-            def sink(point: EvaluationPoint) -> None:
-                stream.write(json.dumps(point.to_dict(), sort_keys=True) + "\n")
+            def sink(point: EvaluationPoint, line: str) -> None:
+                stream.write(line + "\n")
 
             result = full_search(
                 train, eval0, eval1, spec, cfg.grid, seed=cfg.seed, sink=sink

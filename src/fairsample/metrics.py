@@ -173,6 +173,65 @@ class MetricReport:
         return cls(**{k: data[k] for k in cls.__dataclass_fields__})
 
 
+def report_columns(
+    tp,
+    fp,
+    tn,
+    fn,
+    p_positive,
+    p_total: int,
+    up_positive,
+    up_total: int,
+    weights: LossWeights = LossWeights(),
+) -> tuple[np.ndarray, ...]:
+    """MetricReport's fields, in field order, for arrays of aggregate
+    counts; an undefined value is NaN. This is the single place the
+    report arithmetic lives: report_from_counts is its one-row case, and
+    the search's threshold sweep and point builder call it on whole
+    blocks.
+
+    The count arguments are integer arrays of one shape (scalars
+    broadcast): confusion counts and the predicted-unfavourable counts
+    of the privileged and unprivileged groups, whose sizes are p_total
+    and up_total. Each element gets the float operations of the scalar
+    definitions (mcc, basic_metrics, the losses), and IEEE + - * / and
+    sqrt round the same in numpy, so a row equals its scalar report bit
+    for bit while (tp+fp)(tp+fn) and (tn+fp)(tn+fn) stay below 2**53.
+    """
+    if p_total == 0 or up_total == 0:
+        raise InputError("disparate impact needs both privilege groups present")
+    tp, fp, tn, fn = (np.asarray(v, dtype=np.int64) for v in (tp, fp, tn, fn))
+    total = tp + fp + tn + fn
+    if not total.all():
+        raise InputError("empty confusion matrix")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rate_p = np.divide(p_positive, p_total)
+        di = np.where(rate_p > 0.0, np.divide(up_positive, up_total) / rate_p, np.nan)
+        # float(a) * float(b) rounds the exact product once, as the
+        # scalar float(a * b) does; an int64 product would overflow
+        den2 = ((tp + fp) * (tp + fn)).astype(float) * ((tn + fp) * (tn + fn))
+        m = np.where(den2 > 0.0, (tp * tn - fp * fn) / np.sqrt(den2), np.nan)
+        accuracy = (tp + tn) / total
+        precision = np.where(tp + fp > 0, tp / (tp + fp), 0.0)
+        recall = np.where(tp + fn > 0, tp / (tp + fn), 0.0)
+        f1 = np.where(
+            precision + recall > 0.0, 2 * precision * recall / (precision + recall), 0.0
+        )
+    d_loss = np.abs(1.0 - di)
+    m_loss = np.abs(1.0 - m)
+    combined = float(weights.c_mcc) * m_loss + float(weights.c_di) * d_loss
+    return di, m, accuracy, precision, recall, f1, d_loss, m_loss, combined
+
+
+def reports_from_columns(fields: tuple[np.ndarray, ...]) -> list[MetricReport]:
+    """One MetricReport per element of report_columns' 1-D fields, with
+    NaN read back as None."""
+    table = np.array(fields, dtype=float).T
+    cells = table.astype(object)  # Python floats
+    cells[np.isnan(table)] = None
+    return [MetricReport(*row) for row in cells.tolist()]
+
+
 def report_from_counts(
     c: ConfusionCounts,
     p_positive: int,
@@ -181,32 +240,16 @@ def report_from_counts(
     up_total: int,
     weights: LossWeights = LossWeights(),
 ) -> MetricReport:
-    """Build a full report from aggregate counts.
+    """Build a full report from aggregate counts: the one-row case of
+    report_columns, which holds the arithmetic.
 
     p/up arguments are the predicted-unfavourable and total counts of
-    the privileged and unprivileged groups. This is the single place
-    the report arithmetic lives; metric_report and the vectorised
-    threshold sweep both come through here.
+    the privileged and unprivileged groups.
     """
-    if p_total == 0 or up_total == 0:
-        raise InputError("disparate impact needs both privilege groups present")
-    rate_p = p_positive / p_total
-    di = None if rate_p == 0.0 else (up_positive / up_total) / rate_p
-    m = mcc(c)
-    accuracy, precision, recall, f1 = basic_metrics(c)
-    d_loss = di_loss(di)
-    m_loss = mcc_loss(m)
-    return MetricReport(
-        di_ratio=di,
-        mcc=m,
-        accuracy=accuracy,
-        precision=precision,
-        recall=recall,
-        f1=f1,
-        di_loss=d_loss,
-        mcc_loss=m_loss,
-        combined_loss=combined_loss(m_loss, d_loss, weights),
+    fields = report_columns(
+        [c.tp], [c.fp], [c.tn], [c.fn], [p_positive], p_total, [up_positive], up_total, weights
     )
+    return reports_from_columns(fields)[0]
 
 
 def metric_report(g: GroupedPredictions, weights: LossWeights = LossWeights()) -> MetricReport:

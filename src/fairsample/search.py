@@ -13,7 +13,8 @@ scores real models, while tests inject analytic stubs through the same
 seam. Linear (logistic, svm) fits, on numeric and categorical features
 alike, go through one vectorised kernel a chunk of tasks at a time,
 with the one-hot categories fixed on the training split. A level's
-chunks run in forked worker processes, one per usable CPU at most.
+chunks run in forked worker processes, one per usable CPU at most, and
+return tables of counts from which the search builds every point.
 All ordering is deterministic; per-point seeds hash the global seed
 with the fine-lattice indices, so a point revisited at level 1 reuses
 exactly the sample it had at level 0. A full search therefore trains a
@@ -25,15 +26,17 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import itertools
+import json
+import operator
 import os
 import struct
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-# sample_indices and materialize_sample are not called here, but
-# perfbench/spans.py wraps them under this module's names
+# sample_indices, materialize_sample and report_from_counts are not
+# called here, but perfbench/spans.py wraps them under this module's names
 from .balance import (
     BalanceParams,
     SamplingPlan,
@@ -55,10 +58,11 @@ from .classifiers import (
 )
 from .dataset import Dataset, FeaturePipeline, quadrant_counts
 from .metrics import (
-    ConfusionCounts,
     LossWeights,
     MetricReport,
+    report_columns,
     report_from_counts,
+    reports_from_columns,
 )
 
 # A task is (params, candidate thresholds, sampling seed). An
@@ -68,7 +72,9 @@ from .metrics import (
 # degenerate report or error, when no threshold is valid).
 Task = tuple[BalanceParams, tuple[float, ...], int]
 Evaluator = Callable[[list[Task]], list["EvaluationPoint"]]
-Sink = Callable[["EvaluationPoint"], None]
+# receives each point of a level in sort order, with its point-stream
+# line: json.dumps(point.to_dict(), sort_keys=True)
+Sink = Callable[["EvaluationPoint", str], None]
 
 
 def threshold_grid(thresholds: Sequence[float], name: str = "thresholds") -> tuple[float, ...]:
@@ -211,6 +217,133 @@ def point_seed(global_seed: int, alpha_units: int, beta_units: int, gamma_units:
 
 
 # ---------------------------------------------------------------------------
+# a level's points as columns
+
+_METRIC_NAMES = tuple(MetricReport.__dataclass_fields__)
+# MetricReport's fields in to_dict's sorted key order
+_SORTED_METRICS = sorted(range(len(_METRIC_NAMES)), key=_METRIC_NAMES.__getitem__)
+_KNOBS = operator.attrgetter("alpha", "beta", "gamma")
+_METRICS = operator.attrgetter(*sorted(_METRIC_NAMES))
+_NO_METRICS = (None,) * len(_METRIC_NAMES)
+# columns of _Level.numbers: to_dict's numbers in its sorted key order
+_ALPHA, _BETA, _GAMMA = 0, 1, 2
+_COLUMN = {name: 3 + k for k, name in enumerate(sorted(_METRIC_NAMES))}
+_COMBINED, _DI_LOSS, _MCC_LOSS = _COLUMN["combined_loss"], _COLUMN["di_loss"], _COLUMN["mcc_loss"]
+_THRESHOLD = 3 + len(_METRIC_NAMES)
+# points whose floats are read out of the numbers at once
+_LINE_BLOCK = 1024
+# a valid point's line; each %r is one of its numbers
+_LINE = (
+    '{"alpha": %r, "beta": %r, "classifier": %s, "error": null, "gamma": %r, '
+    '"metrics": {"accuracy": %r, "combined_loss": %r, "di_loss": %r, "di_ratio": %r, '
+    '"f1": %r, "mcc": %r, "mcc_loss": %r, "precision": %r, "recall": %r}, '
+    '"seed": %d, "size": %d, "threshold": %r, "valid": true}'
+)
+
+
+class _Level(list):
+    """Points with their numbers, which sort, write and front a level.
+
+    Row k of numbers holds point k's alpha, beta, gamma, metrics and
+    threshold in to_dict's sorted key order, NaN where a value is None;
+    plain says that each of them is a Python float or None. The model
+    evaluator returns a _Level built from its arrays; any other list of
+    points has its numbers read off its objects (_Level.of).
+    """
+
+    def __init__(self, points: Iterable[EvaluationPoint], numbers: np.ndarray, plain: bool):
+        super().__init__(points)
+        self.numbers = numbers
+        self.plain = plain
+
+    @classmethod
+    def of(cls, points: Iterable[EvaluationPoint]) -> "_Level":
+        if isinstance(points, _Level):
+            return points
+        points = list(points)
+        rows = [
+            _KNOBS(p.params)
+            + (_NO_METRICS if p.report is None else _METRICS(p.report))
+            + (p.threshold,)
+            for p in points
+        ]
+        plain = set(map(type, itertools.chain.from_iterable(rows))) <= {float, type(None)}
+        numbers = np.array(rows, dtype=float).reshape(len(rows), _THRESHOLD + 1)
+        return cls(points, numbers, plain)
+
+    def sort_by_key(self) -> None:
+        """Sort the points, and their numbers with them, in place into
+        EvaluationPoint.sort_key order: one stable np.lexsort over
+        sort_key's columns."""
+        numbers = self.numbers
+        combined = numbers[:, _COMBINED]
+        invalid = np.isnan(combined)
+        order = np.lexsort(
+            (
+                numbers[:, _THRESHOLD],
+                numbers[:, _GAMMA],
+                numbers[:, _BETA],
+                numbers[:, _ALPHA],
+                np.where(invalid, np.inf, combined),
+                invalid,
+            )
+        )
+        self[:] = [self[i] for i in order.tolist()]
+        for column in numbers.T:  # a column at a time, so no second copy of the array
+            column[:] = column[order]
+
+    def lines(self) -> Iterator[str]:
+        """json.dumps(p.to_dict(), sort_keys=True) for each point, with
+        the floats of _LINE_BLOCK points read out at a time.
+
+        JSON writes a finite float as its repr, so a point whose numbers
+        are plain and finite (a valid point), with int seed and size, a
+        string kind and no error, fills one template; any other point
+        goes through json.dumps.
+        """
+        quoted: dict[str, str] = {}
+        for start in range(0, len(self), _LINE_BLOCK):
+            points = self[start : start + _LINE_BLOCK]
+            numbers = self.numbers[start : start + _LINE_BLOCK]
+            finite = np.isfinite(numbers).all(axis=1).tolist()
+            for p, row, templated in zip(points, numbers.tolist(), finite):
+                kind = p.classifier_kind
+                if (
+                    templated
+                    and self.plain
+                    and p.error is None
+                    and type(p.seed) is int
+                    and type(p.size) is int
+                    and type(kind) is str
+                ):
+                    if kind not in quoted:
+                        quoted[kind] = json.dumps(kind)
+                    yield _LINE % (row[0], row[1], quoted[kind], *row[2:12], p.seed, p.size, row[12])
+                else:
+                    yield json.dumps(p.to_dict(), sort_keys=True)
+
+    def front(self) -> tuple[EvaluationPoint, ...]:
+        """pareto_front's points, ascending by (mcc_loss, di_loss)."""
+        rows = np.flatnonzero(~np.isnan(self.numbers[:, _COMBINED]))
+        if not len(rows):
+            return ()
+        keys = (_THRESHOLD, _GAMMA, _BETA, _ALPHA, _COMBINED, _DI_LOSS, _MCC_LOSS)
+        order = rows[np.lexsort([self.numbers[rows, key] for key in keys])]
+        m, d = self.numbers[order, _MCC_LOSS], self.numbers[order, _DI_LOSS]
+        same_m = m[1:] == m[:-1]
+        # a point repeating the previous point's coordinates is dropped
+        repeat = np.concatenate([[False], same_m & (d[1:] == d[:-1])])
+        # lowest di_loss over the points with strictly smaller mcc_loss:
+        # the running minimum up to the point before its group's first
+        group_start = np.maximum.accumulate(
+            np.where(np.concatenate([[True], ~same_m]), np.arange(len(m)), 0)
+        )
+        running = np.minimum.accumulate(d)
+        lowest = np.where(group_start > 0, running[group_start - 1], np.inf)
+        return tuple(self[i] for i in order[~repeat & (d <= lowest)].tolist())
+
+
+# ---------------------------------------------------------------------------
 # evaluation
 
 def _threshold_columns(
@@ -236,7 +369,8 @@ def _threshold_columns(
 
 
 class _ThresholdSweep:
-    """Best-threshold selection over one evaluation set, a chunk at a time.
+    """Best-threshold selection over one evaluation set, a block of tasks
+    at a time.
 
     Each call scores the K columns of an (N_eval, K) score matrix, one
     per task, against the sorted union of the tasks' thresholds. Every
@@ -244,29 +378,38 @@ class _ThresholdSweep:
     quadrant category, bin) and a reverse cumulative sum over bins give,
     for every task and union threshold, the rows of each category with
     score >= threshold, so the confusion numbers are exactly what
-    explicit thresholding would produce. MCC, DI and the combined loss
-    are computed for the whole (K, union) grid with the float operations
-    of report_from_counts, so the argmin agrees with a report-by-report
-    comparison; thresholds a task did not ask for never win.
+    explicit thresholding would produce. The combined loss of the whole
+    (K, union) grid comes from metrics.report_columns, the arithmetic
+    every report is built with, so the argmin agrees with a
+    report-by-report comparison; thresholds a task did not ask for never
+    win. The sweep returns counts, not reports: the evaluator builds
+    each task's report from them.
     """
 
     def __init__(self, d_eval: Dataset, weights: LossWeights):
         privileged = d_eval.privileged
         actual = d_eval.unfavourable
         self.category = privileged.astype(np.int64) * 2 + actual.astype(np.int64)
-        self.totals = np.bincount(self.category, minlength=4)
+        totals = np.bincount(self.category, minlength=4)
+        self.positives = int(totals[1] + totals[3])
+        self.negatives = int(totals[0] + totals[2])
+        self.p_total = int(totals[2] + totals[3])
+        self.up_total = int(totals[0] + totals[1])
+        # the smallest integer type that holds any count of the set
+        self.count_type = np.min_scalar_type(len(actual))
         self.weights = weights
 
     def choose(
         self, scores: np.ndarray, thresholds: list[tuple[float, ...]]
-    ) -> list[tuple[float, MetricReport]]:
-        """(threshold, MetricReport) per task for its winning threshold.
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Per task, the winning threshold and its counts: a (K,) float
+        array and a (K, 6) int64 array of _COUNT_COLUMNS.
 
         Column k of scores belongs to the task whose thresholds are
         thresholds[k]. The lowest threshold wins ties; a task keeps its
         first threshold when no threshold has a finite loss or either
         privilege group is missing from the evaluation set (in which
-        case report_from_counts raises InputError).
+        case building its report raises InputError).
         """
         k = len(thresholds)
         union, member, first = _threshold_columns(thresholds)
@@ -279,83 +422,130 @@ class _ThresholdSweep:
         counts = np.bincount(keys.ravel(), minlength=k * 4 * width).reshape(k, 4, width)
         # positive[k, c, u] = rows of category c with score >= union[u]
         positive = counts[:, :, ::-1].cumsum(axis=2)[:, :, ::-1][:, :, 1:]
-        totals = self.totals
         tp = positive[:, 1] + positive[:, 3]
         fp = positive[:, 0] + positive[:, 2]
-        fn = int(totals[1] + totals[3]) - tp
-        tn = int(totals[0] + totals[2]) - fp
-        p_total = int(totals[2] + totals[3])
-        up_total = int(totals[0] + totals[1])
+        grid = np.stack(
+            [
+                tp,
+                fp,
+                self.negatives - fp,
+                self.positives - tp,
+                positive[:, 2] + positive[:, 3],
+                positive[:, 0] + positive[:, 1],
+            ],
+            axis=-1,
+        )
         choice = first
-        if p_total > 0 and up_total > 0:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                den2 = (tp + fp) * (tp + fn) * (tn + fp) * (tn + fn)
-                mcc = np.where(
-                    den2 > 0, (tp * tn - fp * fn) / np.sqrt(den2.astype(float)), np.nan
-                )
-                rate_p = (positive[:, 2] + positive[:, 3]) / p_total
-                rate_up = (positive[:, 0] + positive[:, 1]) / up_total
-                di = np.where(rate_p > 0, rate_up / rate_p, np.nan)
-                combined = self.weights.c_mcc * np.abs(1.0 - mcc) + (
-                    self.weights.c_di * np.abs(1.0 - di)
-                )
+        if self.p_total > 0 and self.up_total > 0:
+            combined = self.report_fields(grid)[-1]
             masked = np.where(member & np.isfinite(combined), combined, np.inf)
             found = np.isfinite(masked).any(axis=1)
             choice = np.where(found, masked.argmin(axis=1), first)
-        results = []
-        for row, col in enumerate(choice.tolist()):
-            report = report_from_counts(
-                ConfusionCounts(
-                    tp=int(tp[row, col]),
-                    fp=int(fp[row, col]),
-                    tn=int(tn[row, col]),
-                    fn=int(fn[row, col]),
-                ),
-                p_positive=int(positive[row, 2, col] + positive[row, 3, col]),
-                p_total=p_total,
-                up_positive=int(positive[row, 0, col] + positive[row, 1, col]),
-                up_total=up_total,
-                weights=self.weights,
-            )
-            results.append((float(union[col]), report))
-        return results
+        return union[choice], grid[np.arange(k), choice]
 
-    def points(
-        self, tasks: list[Task], scores: np.ndarray, kind: str, size: int
-    ) -> list[EvaluationPoint]:
-        """One EvaluationPoint per task; column k of scores is tasks[k]'s."""
-        chosen = self.choose(scores, [thresholds for _, thresholds, _ in tasks])
-        return [
-            EvaluationPoint(
-                params=params,
-                threshold=threshold,
-                classifier_kind=kind,
-                report=report,
-                size=size,
-                seed=seed,
-            )
-            for (params, _, seed), (threshold, report) in zip(tasks, chosen)
-        ]
+    def report_fields(self, counts: np.ndarray) -> tuple[np.ndarray, ...]:
+        """metrics.report_columns over counts (..., 6) of _COUNT_COLUMNS."""
+        tp, fp, tn, fn, p_positive, up_positive = np.moveaxis(counts, -1, 0)
+        return report_columns(
+            tp, fp, tn, fn, p_positive, self.p_total, up_positive, self.up_total, self.weights
+        )
 
 
+# the counts a chunk returns per task, in column order
+_COUNT_COLUMNS = ("tp", "fp", "tn", "fn", "p_positive", "up_positive")
 # tasks scored and swept together: a chunk-wide (N_eval, chunk) score
 # matrix would add to the chunk's peak memory for no change in results
 _SWEEP_BLOCK = 32
 # tasks drawn and fitted together, a worker's unit; results do not depend on it
 _CHUNK = 256
 
+# a task's outcome in a chunk: scored, or why it has no report
+_OK, _INFEASIBLE, _SINGLE_LABEL, _TRAINING_ERROR = range(4)
+_SINGLE_LABEL_TEXT = "training data contains a single label value"
 
-def _invalid_point(task: Task, kind: str, size: int, message: str) -> EvaluationPoint:
-    params, thresholds, seed = task
-    return EvaluationPoint(
-        params=params,
-        threshold=thresholds[0],
-        classifier_kind=kind,
-        report=None,
-        size=size,
-        seed=seed,
-        error=message,
-    )
+# a task without a report: its outcome code and error text
+Failure = tuple[int, str]
+
+
+class _ChunkTable(NamedTuple):
+    """A chunk's results, one row per task: all a worker sends back.
+
+    A scored task has outcome _OK, its chosen union threshold and its
+    counts; any other task has its first threshold, zero counts and an
+    index into the chunk's distinct error texts.
+    """
+
+    outcome: np.ndarray  # int8
+    error: np.ndarray  # int32 index into errors, -1 for none
+    errors: tuple[str, ...]
+    threshold: np.ndarray  # float64
+    counts: np.ndarray  # (K, 6) of _COUNT_COLUMNS, in the sweep's count_type
+    fits: np.ndarray | None  # the scored tasks' fits, in task order
+
+
+def _chunk_table(
+    sweep: _ThresholdSweep,
+    chunk: list[Task],
+    failures: list[Failure | None],
+    chosen: list[tuple[np.ndarray, np.ndarray]],
+    fits: np.ndarray | None = None,
+) -> _ChunkTable:
+    """The table of a chunk whose tasks failed as failures says (None:
+    scored) and whose scored tasks' sweep results are chosen, in order."""
+    texts: dict[str, int] = {}
+    outcome = np.zeros(len(chunk), dtype=np.int8)
+    error = np.full(len(chunk), -1, dtype=np.int32)
+    for k, failure in enumerate(failures):
+        if failure is not None:
+            outcome[k] = failure[0]
+            error[k] = texts.setdefault(failure[1], len(texts))
+    threshold = np.array([thresholds[0] for _, thresholds, _ in chunk], dtype=float)
+    counts = np.zeros((len(chunk), len(_COUNT_COLUMNS)), dtype=sweep.count_type)
+    if chosen:
+        scored = outcome == _OK
+        threshold[scored] = np.concatenate([t for t, _ in chosen])
+        counts[scored] = np.concatenate([c for _, c in chosen])
+    return _ChunkTable(outcome, error, tuple(texts), threshold, counts, fits)
+
+
+def _chunk_points(
+    chunk: list[Task],
+    table: _ChunkTable,
+    sweep: _ThresholdSweep,
+    kind: str,
+    size: int,
+    numbers: np.ndarray,
+) -> tuple[list[EvaluationPoint], bool]:
+    """The points of a chunk's tasks, built from its table, and whether
+    their numbers are plain (see _Level); numbers, NaN on entry, receives
+    their rows of _Level.numbers. Each point holds its task's own
+    BalanceParams."""
+    knobs = [_KNOBS(params) for params, _, _ in chunk]
+    numbers[:, :3] = knobs
+    numbers[:, _THRESHOLD] = table.threshold
+    reports: list[MetricReport | None] = [None] * len(chunk)
+    scored = np.flatnonzero(table.outcome == _OK)
+    if len(scored):
+        fields = sweep.report_fields(table.counts[scored].astype(np.int64))
+        numbers[scored, 3:_THRESHOLD] = np.column_stack([fields[i] for i in _SORTED_METRICS])
+        for k, report in zip(scored.tolist(), reports_from_columns(fields)):
+            reports[k] = report
+    errors = [None if e < 0 else table.errors[e] for e in table.error.tolist()]
+    points = [
+        EvaluationPoint(
+            params=params,
+            threshold=threshold,
+            classifier_kind=kind,
+            report=report,
+            size=size,
+            seed=seed,
+            error=error,
+        )
+        for (params, _, seed), threshold, report, error in zip(
+            chunk, table.threshold.tolist(), reports, errors
+        )
+    ]
+    return points, set(map(type, itertools.chain.from_iterable(knobs))) <= {float}
 
 
 def _draw_chunk(
@@ -380,8 +570,8 @@ def _draw_chunk(
 
 
 # a task's linear fit in the raw feature basis, (w_raw..., b_raw), or
-# the reason the task has none, keyed by (params, seed)
-Fits = dict[tuple[BalanceParams, int], "np.ndarray | str"]
+# the failure of a task that has none, keyed by (params, seed)
+Fits = dict[tuple[BalanceParams, int], "np.ndarray | Failure"]
 
 
 def _usable_cpus() -> int:
@@ -438,12 +628,11 @@ def _chunk_results(run: Callable[[int], Any], count: int) -> Iterator[Iterator[A
 def _batched_linear(
     d_train: Dataset,
     d_eval: Dataset,
-    spec: ClassifierSpec,
     template: _GradientDescent,
     size: int,
-    sweep: "_ThresholdSweep",
+    sweep: _ThresholdSweep,
     reuse_fits: Fits | None,
-) -> Callable[[list[Task]], tuple[list[EvaluationPoint], list[np.ndarray | str]]]:
+) -> Callable[[list[Task]], _ChunkTable]:
     """Linear (logistic, svm) evaluation of a chunk of tasks through one
     batched fit with template's settings and loss.
 
@@ -458,8 +647,8 @@ def _batched_linear(
     differs from fitting each sample through FeaturePipeline.
 
     A task found in reuse_fits is re-scored from its recorded fit (or
-    keeps its recorded failure) without drawing or fitting; a chunk
-    returns its points and every task's fit or failure.
+    keeps its recorded failure) without drawing or fitting; a chunk's
+    table carries the fits of its scored tasks.
     """
     pipeline = FeaturePipeline().fit(d_train)
     train_matrix = pipeline.encode(d_train)
@@ -497,9 +686,9 @@ def _batched_linear(
         coef[:, width] = b - np.sum(w * mean / std, axis=1)
         return coef
 
-    def run_chunk(chunk: list[Task]) -> tuple[list[EvaluationPoint], list[np.ndarray | str]]:
+    def run_chunk(chunk: list[Task]) -> _ChunkTable:
         # per task: a recorded fit or failure, or None until it is fitted
-        outcomes: list[np.ndarray | str | None] = [
+        outcomes: list[np.ndarray | Failure | None] = [
             known.get((params, seed)) for params, _, seed in chunk
         ]
         fresh = [k for k, outcome in enumerate(outcomes) if outcome is None]
@@ -510,23 +699,22 @@ def _batched_linear(
             coef = iter(fit_samples(rows[two_labels]) if two_labels.any() else ())
             drawn = iter(two_labels.tolist())
             for k, reason in zip(fresh, reasons):
-                if reason is None and not next(drawn):
-                    reason = "training data contains a single label value"
-                outcomes[k] = next(coef) if reason is None else reason
-        scored = [(t, o) for t, o in zip(chunk, outcomes) if not isinstance(o, str)]
-        points: list[EvaluationPoint] = []
+                if reason is not None:
+                    outcomes[k] = (_INFEASIBLE, reason)
+                elif next(drawn):
+                    outcomes[k] = next(coef)
+                else:
+                    outcomes[k] = (_SINGLE_LABEL, _SINGLE_LABEL_TEXT)
+        failures = [o if isinstance(o, tuple) else None for o in outcomes]
+        scored = [k for k, failure in enumerate(failures) if failure is None]
+        fits = np.array([outcomes[k] for k in scored]).reshape(len(scored), width + 1)
+        chosen = []
         for start in range(0, len(scored), _SWEEP_BLOCK):
-            block = scored[start : start + _SWEEP_BLOCK]
-            table = np.array([row for _, row in block])
-            scores = _sigmoid_scores(eval_matrix @ table[:, :width].T + table[:, width])
-            points.extend(sweep.points([t for t, _ in block], scores, spec.kind, size))
-        scored_points = iter(points)
-        return [
-            _invalid_point(task, spec.kind, size, outcome)
-            if isinstance(outcome, str)
-            else next(scored_points)
-            for task, outcome in zip(chunk, outcomes)
-        ], outcomes
+            block = fits[start : start + _SWEEP_BLOCK]
+            scores = _sigmoid_scores(eval_matrix @ block[:, :width].T + block[:, width])
+            block_tasks = scored[start : start + _SWEEP_BLOCK]
+            chosen.append(sweep.choose(scores, [chunk[k][1] for k in block_tasks]))
+        return _chunk_table(sweep, chunk, failures, chosen, fits)
 
     return run_chunk
 
@@ -546,54 +734,74 @@ def make_model_evaluator(
     one pass (_draw_chunk). Linear (logistic, svm) specs, numeric or
     categorical, fit a chunk through the batched descent kernel (see
     _batched_linear); every other kind trains each sample through
-    classifiers.fit. Results do not depend on the chunk size. A call
-    with several chunks runs them on worker processes, one per usable
-    CPU at most (_chunk_results), and merges their results in chunk
-    order, so results do not depend on the number of workers either.
+    classifiers.fit. A chunk returns a _ChunkTable of counts, outcome
+    codes and error indices, never point objects; evaluate builds every
+    point from its task and its table row (_chunk_points), so all paths
+    share one point builder. A call with several chunks runs them on
+    worker processes, one per usable CPU at most (_chunk_results), and
+    merges their tables in chunk order, so results depend neither on
+    the chunk size nor on the number of workers.
 
     For linear (logistic, svm) specs, keep_fits collects each task's
-    fit and reuse_fits supplies fits to re-score instead of training
-    again; a recorded fit is valid only for the same training split,
-    spec and size. Other kinds ignore both.
+    fit (or failure) and reuse_fits supplies fits to re-score instead of
+    training again; a recorded fit is valid only for the same training
+    split, spec and size. Other kinds ignore both.
     """
     check_int(size, "sample size", 1)
     sweep = _ThresholdSweep(d_eval, weights)
     template = build_estimator(spec)
     if isinstance(template, _GradientDescent):
-        run_chunk = _batched_linear(d_train, d_eval, spec, template, size, sweep, reuse_fits)
+        run_chunk = _batched_linear(d_train, d_eval, template, size, sweep, reuse_fits)
     else:
 
-        def run_chunk(chunk: list[Task]) -> tuple[list[EvaluationPoint], None]:
+        def run_chunk(chunk: list[Task]) -> _ChunkTable:
             rows, reasons = _draw_chunk(d_train, chunk, size)
             drawn = iter(rows)
-            out: list[EvaluationPoint] = []
-            for task, reason in zip(chunk, reasons):
-                if reason is None:
+            failures: list[Failure | None] = []
+            chosen = []
+            for (_, thresholds, _), reason in zip(chunk, reasons):
+                failure = None if reason is None else (_INFEASIBLE, reason)
+                if failure is None:
+                    sample = d_train.take(next(drawn))
+                    ones = np.count_nonzero(sample.unfavourable)
+                    if ones in (0, size):
+                        failure = (_SINGLE_LABEL, _SINGLE_LABEL_TEXT)
+                if failure is None:
                     try:
-                        model = fit(spec, d_train.take(next(drawn)))
+                        model = fit(spec, sample)
                     except TrainingError as exc:
-                        reason = str(exc)
-                if reason is not None:
-                    out.append(_invalid_point(task, spec.kind, size, reason))
-                    continue
-                scores = np.asarray(model.predict_scores(d_eval))
-                out.extend(sweep.points([task], scores[:, None], spec.kind, size))
-            return out, None
+                        failure = (_TRAINING_ERROR, str(exc))
+                failures.append(failure)
+                if failure is None:
+                    scores = np.asarray(model.predict_scores(d_eval))
+                    chosen.append(sweep.choose(scores[:, None], [thresholds]))
+            return _chunk_table(sweep, chunk, failures, chosen)
 
     def evaluate(tasks: list[Task]) -> list[EvaluationPoint]:
         chunks = [tasks[start : start + _CHUNK] for start in range(0, len(tasks), _CHUNK)]
 
-        def run(index: int) -> tuple[list[EvaluationPoint], list[np.ndarray | str] | None]:
-            points, outcomes = run_chunk(chunks[index])
-            return points, outcomes if keep_fits is not None else None
+        def run(index: int) -> _ChunkTable:
+            table = run_chunk(chunks[index])
+            return table if keep_fits is not None else table._replace(fits=None)
 
-        out: list[EvaluationPoint] = []
+        points: list[EvaluationPoint] = []
+        numbers = np.full((len(tasks), _THRESHOLD + 1), np.nan)
+        plain = True
         with _chunk_results(run, len(chunks)) as results:
-            for chunk, (points, outcomes) in zip(chunks, results):
-                out.extend(points)
-                if outcomes is not None:
-                    keep_fits.update(zip([(p, seed) for p, _, seed in chunk], outcomes))
-        return out
+            for chunk, table in zip(chunks, results):
+                rows = numbers[len(points) : len(points) + len(chunk)]
+                built, chunk_plain = _chunk_points(chunk, table, sweep, spec.kind, size, rows)
+                points.extend(built)
+                plain = plain and chunk_plain
+                if table.fits is not None:
+                    fits = iter(table.fits)
+                    for (params, _, seed), code, error in zip(
+                        chunk, table.outcome.tolist(), table.error.tolist()
+                    ):
+                        keep_fits[(params, seed)] = (
+                            next(fits) if code == _OK else (code, table.errors[error])
+                        )
+        return _Level(points, numbers, plain)
 
     return evaluate
 
@@ -626,11 +834,14 @@ def _common_size(d_train: Dataset, grid: GridSpec) -> int:
     return max_sample_size(quadrant_counts(d_train), step=grid.level1_step)
 
 
-def _emit(points: list[EvaluationPoint], sink: Sink | None) -> list[EvaluationPoint]:
-    ordered = sorted(points, key=EvaluationPoint.sort_key)
+def _emit(points: list[EvaluationPoint], sink: Sink | None) -> _Level:
+    """The level's points in sort_key order, each passed to sink with
+    its line on the way."""
+    ordered = _Level.of(points)
+    ordered.sort_by_key()
     if sink is not None:
-        for p in ordered:
-            sink(p)
+        for p, line in zip(ordered, ordered.lines()):
+            sink(p, line)
     return ordered
 
 
@@ -753,27 +964,11 @@ def pareto_front(points: Iterable[EvaluationPoint]) -> ParetoFront:
     (mcc_loss, di_loss) order a point is dominated exactly when some
     point with strictly smaller mcc_loss has smaller di_loss, so a
     running minimum of di_loss over the finished mcc_loss groups
-    decides every point in O(n log n).
+    decides every point in O(n log n). The sort is one np.lexsort on
+    (mcc_loss, di_loss) then sort_key's columns, and the running minimum
+    one np.minimum.accumulate.
     """
-    candidates = sorted(
-        (p for p in points if p.valid),
-        key=lambda p: (p.report.mcc_loss, p.report.di_loss) + p.sort_key(),
-    )
-    front: list[EvaluationPoint] = []
-    lowest_di = float("inf")  # over points with strictly smaller mcc_loss
-    group_mcc, group_di = None, float("inf")  # current mcc_loss, its lowest di_loss
-    previous_di = None
-    for p in candidates:
-        m, d = p.report.mcc_loss, p.report.di_loss
-        if m != group_mcc:
-            lowest_di = min(lowest_di, group_di)
-            group_mcc, group_di = m, d
-        elif d == previous_di:
-            continue  # repeats the previous point's coordinates
-        previous_di = d
-        if d <= lowest_di:
-            front.append(p)
-    return ParetoFront(points=tuple(front))
+    return ParetoFront(points=_Level.of(points).front())
 
 
 def select_optimal(front: ParetoFront, weights: LossWeights) -> EvaluationPoint:

@@ -8,6 +8,7 @@ from __future__ import annotations
 import copy
 import csv
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -650,6 +651,42 @@ def test_search_rerun_is_identical(search_run, tmp_path):
     assert result.exit_code == 0
     for name in ("points_logistic.jsonl", "optimal.csv", "pareto_level1_logistic.csv"):
         assert (tmp_path / "again" / name).read_bytes() == (out / name).read_bytes()
+
+
+def test_search_writes_the_same_bytes_on_one_worker_and_two(tmp_path, monkeypatch):
+    import fairsample.search as search_mod
+
+    # four tasks a chunk: both levels run several chunks, so with two
+    # usable CPUs both fork workers
+    monkeypatch.setattr(search_mod, "_CHUNK", 4)
+    draws = tmp_path / "draws"
+    draw_chunk = search_mod._draw_chunk
+
+    def logging_draw(*args):
+        with open(draws, "a") as fh:  # the processes that drew a chunk
+            fh.write(f"{os.getpid()}\n")
+        return draw_chunk(*args)
+
+    monkeypatch.setattr(search_mod, "_draw_chunk", logging_draw)
+    cfg = small_synthetic_config(
+        tmp_path, out=tmp_path / "unused", extra_classifiers="  - {kind: naive_bayes}\n"
+    )
+    written = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(search_mod, "_usable_cpus", lambda: workers)
+        draws.write_text("")
+        out = tmp_path / f"workers_{workers}"
+        result = runner.invoke(main, ["search", "--config", cfg, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert multiprocessing.active_children() == []
+        assert (str(os.getpid()) in draws.read_text().split()) == (workers == 1)
+        written[workers] = {
+            name: (out / name).read_bytes()
+            for name in os.listdir(out)
+            if name.startswith(("points_", "pareto_", "optimal"))
+        }
+    assert len(written[1]) == 7  # two point streams, four fronts, optimal.csv
+    assert written[2] == written[1]
 
 
 def test_report_on_own_eval_split_reproduces_optimal_rows(search_run, tmp_path):

@@ -20,6 +20,9 @@ from fairsample.metrics import (
     mcc_loss,
     metric_report,
     render,
+    report_columns,
+    report_from_counts,
+    reports_from_columns,
 )
 
 
@@ -215,6 +218,108 @@ def test_report_round_trip_with_undefined():
     data = report.to_dict()
     assert data["di_ratio"] is None
     assert MetricReport.from_dict(data) == report
+
+
+def scalar_report(c, p_positive, p_total, up_positive, up_total, weights=LossWeights()):
+    """The report arithmetic one report at a time on Python numbers, as
+    report_from_counts did it before report_columns: the reference the
+    array arithmetic must equal bit for bit."""
+    if p_total == 0 or up_total == 0:
+        raise InputError("disparate impact needs both privilege groups present")
+    rate_p = p_positive / p_total
+    di = None if rate_p == 0.0 else (up_positive / up_total) / rate_p
+    m = mcc(c)
+    accuracy, precision, recall, f1 = basic_metrics(c)
+    d_loss, m_loss = di_loss(di), mcc_loss(m)
+    return MetricReport(
+        di_ratio=di,
+        mcc=m,
+        accuracy=accuracy,
+        precision=precision,
+        recall=recall,
+        f1=f1,
+        di_loss=d_loss,
+        mcc_loss=m_loss,
+        combined_loss=combined_loss(m_loss, d_loss, weights),
+    )
+
+
+def random_group_counts(rng, rows, group_sizes):
+    """rows of (tp, fp, tn, fn, p_positive, up_positive) over groups of
+    the given (favourable, unfavourable) sizes; empty and full
+    predictions are frequent, so MCC and DI are often undefined."""
+    out = []
+    for _ in range(rows):
+        tp = fp = p_positive = up_positive = 0
+        for privileged, (n_fav, n_unfav) in zip((True, False), group_sizes):
+            mode = rng.integers(4)
+            take = {0: (0, 0), 1: (n_fav, n_unfav)}.get(
+                int(mode), (int(rng.integers(n_fav + 1)), int(rng.integers(n_unfav + 1)))
+            )
+            fp += take[0]
+            tp += take[1]
+            if privileged:
+                p_positive = take[0] + take[1]
+            else:
+                up_positive = take[0] + take[1]
+        positives = group_sizes[0][1] + group_sizes[1][1]
+        negatives = group_sizes[0][0] + group_sizes[1][0]
+        out.append((tp, fp, negatives - fp, positives - tp, p_positive, up_positive))
+    return out
+
+
+@pytest.mark.parametrize(
+    "weights", [LossWeights(), LossWeights(c_mcc=0.3, c_di=2.5), LossWeights(c_mcc=2, c_di=0)]
+)
+def test_report_columns_equal_the_scalar_arithmetic(weights):
+    rng = np.random.default_rng(12)
+    groups = [((40, 7), (13, 2)), ((3, 0), (5, 1)), ((900, 31), (90, 30)), ((1, 1), (1, 1))]
+    for group_sizes in groups:
+        p_total, up_total = sum(group_sizes[0]), sum(group_sizes[1])
+        rows = random_group_counts(rng, 200, group_sizes)
+        want = [
+            scalar_report(ConfusionCounts(*r[:4]), r[4], p_total, r[5], up_total, weights).to_dict()
+            for r in rows
+        ]
+        assert any(w["mcc"] is None for w in want) and any(w["di_ratio"] is None for w in want)
+        assert any(w["combined_loss"] is not None for w in want)
+        one_by_one = [
+            report_from_counts(ConfusionCounts(*r[:4]), r[4], p_total, r[5], up_total, weights).to_dict()
+            for r in rows
+        ]
+        assert one_by_one == want
+        tp, fp, tn, fn, p_positive, up_positive = np.array(rows).T
+        fields = report_columns(tp, fp, tn, fn, p_positive, p_total, up_positive, up_total, weights)
+        assert [r.to_dict() for r in reports_from_columns(fields)] == want
+        assert all(type(v) is float for w in one_by_one for v in w.values() if v is not None)
+
+
+def test_report_columns_need_both_groups_and_a_non_empty_matrix():
+    with pytest.raises(InputError, match="privilege groups"):
+        report_columns([1], [0], [1], [0], [1], 0, [0], 2)
+    with pytest.raises(InputError, match="empty"):
+        report_columns([1, 0], [0, 0], [1, 0], [0, 0], [1, 0], 1, [0, 0], 1)
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [
+        # 240k rows, half privileged and half unfavourable in each group,
+        # classified perfectly: the MCC denominator is 2.07e20
+        (120_000, 0, 120_000, 0, 60_000, 60_000, 120_000, 120_000),
+        (40_000_000, 1, 50_000_000, 3, 20_000_000, 20_000_001, 45_000_000, 45_000_004),
+    ],
+    ids=["240k", "90m"],
+)
+def test_mcc_denominator_past_int64_matches_the_exact_scalar(counts):
+    tp, fp, tn, fn, p_positive, up_positive, p_total, up_total = counts
+    c = ConfusionCounts(tp, fp, tn, fn)
+    assert (tp + fp) * (tp + fn) * (tn + fp) * (tn + fn) > 2**63
+    want = scalar_report(c, p_positive, p_total, up_positive, up_total).to_dict()
+    assert report_from_counts(c, p_positive, p_total, up_positive, up_total).to_dict() == want
+    assert want["mcc"] == mcc(c)
+    if fp == fn == 0:
+        assert want["mcc"] == 1.0
 
 
 def test_render_nan_and_precision():

@@ -9,20 +9,23 @@ fit/predict API.
 from __future__ import annotations
 
 import itertools
+import json
 import multiprocessing
 import os
+import pickle
 
 import numpy as np
 import pytest
 
 import fairsample.search as search_mod
 from fairsample.balance import BalanceParams, compute_plan, materialize_sample
-from fairsample.base import InfeasibleError, InputError, SearchError
+from fairsample.base import InfeasibleError, InputError, SearchError, TrainingError
 from fairsample.classifiers import (
     ClassifierSpec,
     fit as fit_model,
     fit_logistic_batch,
     predict_labels,
+    register_kind,
 )
 from fairsample.dataset import (
     SYNTHETIC_SCHEMA,
@@ -36,7 +39,15 @@ from fairsample.dataset import (
     quadrant_counts,
     stratified_split,
 )
-from fairsample.metrics import GroupedPredictions, LossWeights, MetricReport, metric_report
+from fairsample.metrics import (
+    ConfusionCounts,
+    GroupedPredictions,
+    LossWeights,
+    MetricReport,
+    confusion,
+    metric_report,
+    report_from_counts,
+)
 from fairsample.search import (
     EvaluationPoint,
     GridSpec,
@@ -50,6 +61,7 @@ from fairsample.search import (
     point_seed,
     select_optimal,
 )
+from test_metrics import scalar_report
 
 SMALL_GRID = GridSpec(
     level0_step=0.5,
@@ -480,16 +492,59 @@ def random_points(rng, n):
     return pts
 
 
+def loop_front(points):
+    """The front as one sort and a Python loop over it, the form the
+    array sweep replaced: the reference for which representative of a
+    repeated coordinate pair stays, and for the order."""
+    candidates = sorted(
+        (p for p in points if p.valid),
+        key=lambda p: (p.report.mcc_loss, p.report.di_loss) + p.sort_key(),
+    )
+    front = []
+    lowest_di = float("inf")  # over points with strictly smaller mcc_loss
+    group_mcc, group_di = None, float("inf")
+    previous_di = None
+    for p in candidates:
+        m, d = p.report.mcc_loss, p.report.di_loss
+        if m != group_mcc:
+            lowest_di = min(lowest_di, group_di)
+            group_mcc, group_di = m, d
+        elif d == previous_di:
+            continue
+        previous_di = d
+        if d <= lowest_di:
+            front.append(p)
+    return front
+
+
 def test_pareto_front_matches_pairwise_oracle():
     rng = np.random.default_rng(55)
     for _ in range(300):
         pts = random_points(rng, int(rng.integers(1, 40)))
+        pts += [synthetic_point(0.5, 0.0, 1.0, error="broken")] * int(rng.integers(2))
         front = pareto_front(pts)
         assert sorted(front.coordinates()) == oracle_front(
-            [(p.report.mcc_loss, p.report.di_loss) for p in pts]
+            [(p.report.mcc_loss, p.report.di_loss) for p in pts if p.valid]
         )
         # deduplicated: one representative per coordinate pair
         assert len(set(front.coordinates())) == len(front)
+        assert [id(p) for p in front.points] == [id(p) for p in loop_front(pts)]
+
+
+def test_emit_orders_points_by_sort_key():
+    rng = np.random.default_rng(56)
+    for _ in range(100):
+        pts = random_points(rng, int(rng.integers(0, 40)))
+        pts += [
+            synthetic_point(float(rng.choice([0.0, 0.5])), 0.0, 0.0, error="broken")
+            for _ in range(int(rng.integers(3)))
+        ]
+        # valid, yet as large a loss as an invalid point's sort key holds
+        pts += [synthetic_point(1.0, 1.0, 1.0, m_loss=float("inf"))] * int(rng.integers(2))
+        rng.shuffle(pts)
+        ordered = search_mod._emit(list(pts), None)
+        want = sorted(pts, key=EvaluationPoint.sort_key)
+        assert [id(p) for p in ordered] == [id(p) for p in want]
 
 
 def test_pareto_front_ignores_invalid_points():
@@ -545,7 +600,7 @@ def test_full_search_is_deterministic_and_sinks_everything():
     sunk = []
     first = full_search(
         None, None, None, None, GridSpec(), seed=4, size=10,
-        evaluators=(stub, stub), sink=sunk.append,
+        evaluators=(stub, stub), sink=lambda point, line: sunk.append((point, line)),
     )
     second = full_search(
         None, None, None, None, GridSpec(), seed=4, size=10, evaluators=(stub, stub)
@@ -555,7 +610,8 @@ def test_full_search_is_deterministic_and_sinks_everything():
     assert as_dicts(first.level1) == as_dicts(second.level1)
     assert as_dicts(first.front.points) == as_dicts(second.front.points)
     assert first.best.to_dict() == second.best.to_dict()
-    assert as_dicts(sunk) == as_dicts(first.level0) + as_dicts(first.level1)
+    assert as_dicts(p for p, _ in sunk) == as_dicts(first.level0) + as_dicts(first.level1)
+    assert [line for _, line in sunk] == [json.dumps(d, sort_keys=True) for d in as_dicts(p for p, _ in sunk)]
     assert first.best == select_optimal(first.front, GridSpec().weights)
 
 
@@ -759,27 +815,61 @@ def test_chunk_sweep_matches_explicit_thresholding():
     scores = np.column_stack([c for c, _ in columns_and_thresholds])
     thresholds = [t for _, t in columns_and_thresholds]
     sweep = search_mod._ThresholdSweep(EVAL, WEIGHTS)
-    chosen = sweep.choose(scores, thresholds)
-    assert len(chosen) == len(thresholds)
-    for (column, ts), (threshold, report) in zip(columns_and_thresholds, chosen):
-        reports = {
-            t: metric_report(
-                GroupedPredictions(
-                    privileged=EVAL.privileged,
-                    actual=EVAL.unfavourable,
-                    predicted=column >= t,
-                ),
-                WEIGHTS,
+    chosen, counts = sweep.choose(scores, thresholds)
+    assert chosen.shape == (len(thresholds),)
+    assert counts.shape == (len(thresholds), len(search_mod._COUNT_COLUMNS))
+    for (column, ts), threshold, row in zip(columns_and_thresholds, chosen.tolist(), counts):
+        grouped = {
+            t: GroupedPredictions(
+                privileged=EVAL.privileged, actual=EVAL.unfavourable, predicted=column >= t
             )
             for t in ts
         }
+        reports = {t: metric_report(g, WEIGHTS) for t, g in grouped.items()}
         valid = [(r.combined_loss, t) for t, r in reports.items() if r.combined_loss is not None]
         want = min(valid)[1] if valid else ts[0]
         assert threshold == want
+        # the counts are explicit thresholding's, and so is their report
+        g = grouped[want]
+        c = confusion(g)
+        p_positive = int(np.count_nonzero(g.predicted & g.privileged))
+        up_positive = int(np.count_nonzero(g.predicted & ~g.privileged))
+        assert row.tolist() == [c.tp, c.fp, c.tn, c.fn, p_positive, up_positive]
+        report = report_from_counts(
+            c, p_positive, sweep.p_total, up_positive, sweep.up_total, WEIGHTS
+        )
         assert report.to_dict() == reports[want].to_dict()
     # the undefined task fell back to its first threshold
-    assert chosen[-1][0] == 0.2
-    assert chosen[-1][1].combined_loss is None
+    assert chosen[-1] == 0.2
+    assert reports[0.2].combined_loss is None
+
+
+def test_sweep_scores_a_large_evaluation_split_exactly():
+    # 240k rows, half privileged and half unfavourable in each group: at
+    # threshold 0.5 every row is classified right, and the MCC
+    # denominator (tp+fp)(tp+fn)(tn+fp)(tn+fn) = 2.07e20 is past int64
+    n = 60_000
+    unfavourable = np.tile(np.repeat([False, True], n), 2)
+    privileged = np.repeat([False, True], 2 * n)
+    big = Dataset(
+        schema=SYNTHETIC_SCHEMA,
+        columns={},
+        unfavourable=unfavourable,
+        privileged=privileged,
+        row_ids=np.arange(4 * n),
+    )
+    scores = np.where(unfavourable, 0.93, 0.1)
+    # every 60th unfavourable row, 1,000 in each group, scores above 0.945
+    scores[np.flatnonzero(unfavourable)[::60]] = 0.95
+    sweep = search_mod._ThresholdSweep(big, WEIGHTS)
+    chosen, counts = sweep.choose(np.column_stack([scores, scores]), [(0.5,), (0.5, 0.945)])
+    assert chosen.tolist() == [0.5, 0.5]
+    fields = sweep.report_fields(counts)
+    assert fields[1].tolist() == [1.0, 1.0]  # MCC; int64 products read 6.83
+    assert fields[-1].tolist() == [0.0, 0.0]
+    # 0.945 has exact combined loss 0.908, so 0.5 must win
+    _, at_945 = sweep.choose(scores[:, None], [(0.945,)])
+    assert sweep.report_fields(at_945)[-1][0] == pytest.approx(0.908, abs=1e-3)
 
 
 def test_threshold_columns_match_a_per_task_lookup():
@@ -994,6 +1084,184 @@ def test_a_worker_error_reaches_the_caller_and_no_worker_outlives_it(monkeypatch
     assert multiprocessing.active_children() == []
     # one chunk runs in this process, so it never reaches the failing fit
     assert len(evaluate(POOL_TASKS[:POOL_CHUNK])) == POOL_CHUNK
+
+
+# ---------------------------------------------------------------------------
+# chunk tables: what crosses the pipe, and the points built from them
+
+# an error text JSON must escape: quotes, a backslash, non-ASCII
+REFUSAL = 'refused: "quoted" \\ back\\slash, na\u00efve \u2603 \U0001d11e'
+
+
+class RefusingModel:
+    """Refuses a sample whose first row trails its last on the first
+    feature, about one sample in two."""
+
+    def fit(self, x, y):
+        if x[0, 0] < x[-1, 0]:
+            raise TrainingError(REFUSAL)
+        return self
+
+    def predict_scores(self, x):
+        return 1.0 / (1.0 + np.exp(-x[:, 0]))
+
+
+register_kind("refusing_for_search_tests", lambda params, seed, blocks: RefusingModel())
+
+BUILD_SPECS = {
+    "logistic": LOGISTIC,
+    "svm": ClassifierSpec(kind="svm", params={}),
+    "forest": ClassifierSpec(kind="forest", params={"n_trees": 4}, seed=3),
+    "refusing": ClassifierSpec(kind="refusing_for_search_tests", params={}),
+}
+
+
+def outcome_tasks():
+    """Tasks on the skewed corpus at sample size 2: some plans are
+    infeasible, some samples hold one label, and a threshold tuple of
+    (0.001,) or (0.999,) leaves MCC or DI undefined."""
+    tasks = []
+    for a, b, g in itertools.product((0.0, 0.5, 1.0), (0.0, 0.5, 1.0), (0.0, 1.0)):
+        for k, thresholds in enumerate([(0.3, 0.5, 0.7), (0.001,), (0.999,)]):
+            seed = point_seed(1 + k, int(a * 4), int(b * 4), int(g * 4))
+            tasks.append((BalanceParams(a, b, g), thresholds, seed))
+    return tasks
+
+
+def per_task_points(chunk, table, sweep, kind, size):
+    """The per-task route the columnar builder replaced: one scalar
+    report per scored task from its counts, one error point per other
+    task at its first threshold."""
+    points = []
+    rows = zip(chunk, table.outcome.tolist(), table.error.tolist(), table.threshold.tolist())
+    for ((params, thresholds, seed), code, error, threshold), counts in zip(rows, table.counts.tolist()):
+        if code == search_mod._OK:
+            tp, fp, tn, fn, p_positive, up_positive = counts
+            report = scalar_report(
+                ConfusionCounts(tp, fp, tn, fn), p_positive, sweep.p_total, up_positive,
+                sweep.up_total, WEIGHTS,
+            )
+            points.append(EvaluationPoint(params, threshold, kind, report, size, seed))
+        else:
+            assert threshold == thresholds[0]
+            points.append(
+                EvaluationPoint(params, thresholds[0], kind, None, size, seed, table.errors[error])
+            )
+    return points
+
+
+def outcome_name(point, code):
+    if code == search_mod._OK:
+        return "valid" if point.valid else "degenerate"
+    return {
+        search_mod._INFEASIBLE: "infeasible",
+        search_mod._SINGLE_LABEL: "single_label",
+        search_mod._TRAINING_ERROR: "training_error",
+    }[code]
+
+
+def test_built_points_match_the_per_task_route(monkeypatch):
+    d_train, d_eval, _ = REUSE_CORPORA["infeasible"]
+    size = 2
+    tasks = outcome_tasks()
+    tables = []
+    chunk_points = search_mod._chunk_points
+
+    def recording(chunk, table, *args):
+        tables.append((chunk, table))
+        return chunk_points(chunk, table, *args)
+
+    monkeypatch.setattr(search_mod, "_chunk_points", recording)
+    monkeypatch.setattr(search_mod, "_CHUNK", 8)
+    sweep = search_mod._ThresholdSweep(d_eval, WEIGHTS)
+    seen = set()
+    for name, spec in BUILD_SPECS.items():
+        runs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(search_mod, "_usable_cpus", lambda: workers)
+            tables.clear()
+            level = make_model_evaluator(d_train, d_eval, spec, WEIGHTS, size)(tasks)
+            assert len(tables) == -(-len(tasks) // 8)
+            want = [
+                p for chunk, table in tables for p in per_task_points(chunk, table, sweep, spec.kind, size)
+            ]
+            assert [p.to_dict() for p in level] == [p.to_dict() for p in want]
+            # each point holds its task's own knobs object
+            assert all(p.params is task[0] for p, task in zip(level, tasks))
+            # the numbers built with the points are the points' own
+            read_off = search_mod._Level.of(list(level))
+            assert np.array_equal(level.numbers, read_off.numbers, equal_nan=True)
+            assert level.plain and read_off.plain
+            assert list(level.lines()) == [json.dumps(p.to_dict(), sort_keys=True) for p in level]
+            codes = [code for _, table in tables for code in table.outcome.tolist()]
+            kinds = {outcome_name(p, code) for p, code in zip(level, codes)}
+            runs.append([p.to_dict() for p in level])
+        assert runs[0] == runs[1]
+        assert {"valid", "infeasible", "single_label"} <= kinds, name
+        if name in ("logistic", "svm"):
+            assert "degenerate" in kinds
+        seen |= kinds
+    assert seen == {"valid", "degenerate", "infeasible", "single_label", "training_error"}
+
+
+TRAIN_WIDTH = FeaturePipeline().fit(TRAIN).encode(TRAIN).shape[1]
+
+
+def test_a_chunk_table_is_a_few_bytes_per_task(monkeypatch):
+    # a full chunk of level-1-like tasks, and one that also returns fits
+    tasks = [t for s in range(64) for t in model_tasks(global_seed=s)]
+    assert len(tasks) == search_mod._CHUNK
+    tables = []
+    chunk_points = search_mod._chunk_points
+
+    def recording(chunk, table, *args):
+        tables.append(table)
+        return chunk_points(chunk, table, *args)
+
+    monkeypatch.setattr(search_mod, "_chunk_points", recording)
+    make_model_evaluator(TRAIN, EVAL, LOGISTIC, WEIGHTS, SIZE)(tasks)
+    make_model_evaluator(TRAIN, EVAL, LOGISTIC, WEIGHTS, SIZE, keep_fits={})(tasks)
+    bare, with_fits = tables
+    assert bare.fits is None and with_fits.fits.shape == (len(tasks), TRAIN_WIDTH + 1)
+    # a pickled point alone takes about 200 bytes
+    assert len(pickle.dumps(bare)) <= 32 * len(tasks)
+    assert len(pickle.dumps(with_fits)) <= (32 + 8 * (TRAIN_WIDTH + 1)) * len(tasks)
+
+
+def plain_report(**changes):
+    values = dict(
+        di_ratio=0.95, mcc=0.5, accuracy=0.75, precision=0.625, recall=1 / 3, f1=0.4347826086956522,
+        di_loss=0.050000000000000044, mcc_loss=0.5, combined_loss=0.55,
+    )
+    values.update(changes)
+    return MetricReport(**values)
+
+
+@pytest.mark.parametrize("block", [2, 1024])
+def test_point_lines_are_json_dumps_byte_for_byte(monkeypatch, block):
+    monkeypatch.setattr(search_mod, "_LINE_BLOCK", block)
+    knobs = BalanceParams(0.25, 0.5, 0.75)
+    degenerate = plain_report(mcc=None, mcc_loss=None, combined_loss=None)
+    undefined = plain_report(di_ratio=None, mcc=None, di_loss=None, mcc_loss=None, combined_loss=None)
+    plain = [
+        EvaluationPoint(knobs, 0.3, "logistic", plain_report(), 88, 7),
+        EvaluationPoint(knobs, 0.35, "logistic", degenerate, 88, 8),
+        EvaluationPoint(knobs, 0.4, "logistic", undefined, 88, 9),
+        EvaluationPoint(knobs, 0.45, "logistic", None, 88, 10, REFUSAL),
+        EvaluationPoint(knobs, 0.5, "logistic", None, 88, 11, "no valid sample composition"),
+        EvaluationPoint(knobs, 1e-300, "we\"ird", plain_report(f1=1e300), 88, 2**64 - 1),
+    ]
+    others = [
+        EvaluationPoint(BalanceParams(0, 1, 0), 0.5, "logistic", plain_report(), 88, 7),
+        EvaluationPoint(knobs, 0.5, "logistic", plain_report(accuracy=np.float64(0.1)), 88, 7),
+        EvaluationPoint(knobs, 0.5, "logistic", plain_report(precision=float("nan")), 88, 7),
+        EvaluationPoint(knobs, 0.5, "logistic", plain_report(), True, 7),
+    ]
+    for points in [plain, plain + others[:1], plain + others[1:2], plain + others[2:3], plain + others[3:]]:
+        want = [json.dumps(p.to_dict(), sort_keys=True) for p in points]
+        assert list(search_mod._Level.of(points).lines()) == want
+    assert search_mod._Level.of(plain).plain
+    assert "\\u2603" in json.dumps(plain[3].to_dict())
 
 
 # ---------------------------------------------------------------------------
