@@ -1,7 +1,6 @@
 """Shared error types, estimator plumbing and input validation."""
 from __future__ import annotations
 
-import inspect
 import math
 from typing import Any
 
@@ -50,31 +49,6 @@ class SearchError(FairsampleError):
 
 class NotFittedError(FairsampleError):
     """An estimator was used before fit."""
-
-
-class ParamsMixin:
-    """get_params/set_params over the constructor signature.
-
-    Same duck-typed contract as sklearn estimators: every constructor
-    argument is stored under its own name and is reachable by both
-    methods. Kept local so the modelling code has no ML dependencies.
-    """
-
-    @classmethod
-    def _param_names(cls) -> list[str]:
-        sig = inspect.signature(cls.__init__)
-        return [n for n in sig.parameters if n != "self"]
-
-    def get_params(self) -> dict[str, Any]:
-        return {n: getattr(self, n) for n in self._param_names()}
-
-    def set_params(self, **params: Any):
-        valid = set(self._param_names())
-        for name, value in params.items():
-            if name not in valid:
-                raise InputError(f"unknown parameter {name!r} for {type(self).__name__}")
-            setattr(self, name, value)
-        return self
 
 
 def check_int(value: Any, name: str, least: int = 0, bits: int = 63) -> int:

@@ -13,7 +13,6 @@ case of the same code path, so results never depend on which path ran.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -21,8 +20,6 @@ import numpy as np
 
 from .base import (
     InputError,
-    NotFittedError,
-    ParamsMixin,
     TrainingError,
     as_float_matrix,
     as_label_vector,
@@ -39,9 +36,12 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
+SINGLE_LABEL_TEXT = "training data contains a single label value"
+
+
 def _require_two_classes(y: np.ndarray) -> None:
     if not (np.any(y == 1.0) and np.any(y == 0.0)):
-        raise TrainingError("training data contains a single label value")
+        raise TrainingError(SINGLE_LABEL_TEXT)
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +135,7 @@ def fit_logistic_batch(
     return coefs[:, :f], coefs[:, f], iterations
 
 
-class _GradientDescent(ParamsMixin):
+class _GradientDescent:
     """A linear model fitted by fit_logistic_batch as its K=1 case.
 
     Scores are the decision value through a logistic, so they live on
@@ -198,7 +198,7 @@ class LinearSVM(_GradientDescent):
 # ---------------------------------------------------------------------------
 # naive Bayes
 
-class GaussianNaiveBayes(ParamsMixin):
+class GaussianNaiveBayes:
     """Naive Bayes over mixed features.
 
     Columns inside a declared one-hot block are treated as one
@@ -218,8 +218,9 @@ class GaussianNaiveBayes(ParamsMixin):
         self._check_params()
 
     def _check_params(self) -> None:
-        # numeric columns arrive at unit variance; a floor above 1 swamps them
-        check_number(self.var_smoothing, "var_smoothing", 0.0, 1.0)
+        # numeric columns arrive at unit variance; a floor above 1 swamps
+        # them, and a zero floor leaves a class-constant column variance 0
+        check_number(self.var_smoothing, "var_smoothing", 0.0, 1.0, "(]")
 
     def _block_outcomes(self, x: np.ndarray, start: int, stop: int) -> np.ndarray:
         block = x[:, start:stop]
@@ -335,7 +336,7 @@ def _grow_tree(x, y, rng, max_depth, features_per_split, nodes, depth=0) -> int:
     return index
 
 
-class RandomForest(ParamsMixin):
+class RandomForest:
     """Bagged decision trees; the score is the fraction of trees voting
     for the unfavourable class, so it is always a multiple of 1/n_trees.
     Fitted trees are flat: node arrays feature_, threshold_, left_,
@@ -446,11 +447,6 @@ class TrainedModel:
     estimator: Any
 
     def predict_scores(self, d: Dataset) -> np.ndarray:
-        # estimators keyed by row identity (external score files)
-        # bypass the feature pipeline entirely
-        hook = getattr(self.estimator, "score_rows", None)
-        if hook is not None:
-            return np.asarray(hook(d.row_ids), dtype=float)
         return self.estimator.predict_scores(self.pipeline.transform(d))
 
 
@@ -479,54 +475,3 @@ def predict_labels(model, d: Dataset, threshold: float) -> GroupedPredictions:
         actual=d.unfavourable,
         predicted=scores >= threshold,
     )
-
-
-# ---------------------------------------------------------------------------
-# externally scored rows
-
-class ExternalScoreModel:
-    """Scores read from a file instead of a trained estimator.
-
-    The file maps row ids to scores in [0, 1]; asking for a row id the
-    file does not cover is an error rather than a silent default.
-    """
-
-    def __init__(self, scores: dict[int, float]):
-        for rid, s in scores.items():
-            if not 0.0 <= s <= 1.0:
-                raise InputError(f"score for row {rid} outside [0, 1]: {s}")
-        self._scores = dict(scores)
-
-    def __len__(self) -> int:
-        return len(self._scores)
-
-    def score_rows(self, row_ids: np.ndarray) -> np.ndarray:
-        out = np.empty(len(row_ids))
-        for i, rid in enumerate(row_ids):
-            try:
-                out[i] = self._scores[int(rid)]
-            except KeyError:
-                raise InputError(f"no external score for row id {int(rid)}") from None
-        return out
-
-    def predict_scores(self, d: Dataset) -> np.ndarray:
-        return self.score_rows(d.row_ids)
-
-
-def load_external_scores(path: str) -> ExternalScoreModel:
-    scores: dict[int, float] = {}
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["row_id", "score"]:
-            raise InputError("score file must start with a row_id,score header")
-        for line, row in enumerate(reader):
-            try:
-                rid = int(row[0])
-                value = float(row[1])
-            except (IndexError, ValueError) as exc:
-                raise InputError(f"bad score row {line}: {row!r}") from exc
-            if rid in scores:
-                raise InputError(f"duplicate row id {rid} in score file")
-            scores[rid] = value
-    return ExternalScoreModel(scores)

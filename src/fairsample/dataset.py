@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .base import InputError, ParamsMixin, RowError, SchemaError, check_fitted, check_int, check_number
+from .base import InputError, RowError, SchemaError, check_fitted, check_int, check_number
 
 FEATURE_KINDS = ("numeric", "categorical")
 
@@ -121,8 +121,8 @@ class Dataset:
     object of str otherwise). unfavourable and privileged are boolean
     views of the label and sensitive columns. row_ids are stable
     identifiers inherited from the source file/generator; splits and
-    samples carry them through so external per-record artifacts (for
-    example score files) can be joined back by id.
+    samples carry them through so a record can be traced back to its
+    source row.
     """
 
     schema: Schema
@@ -185,7 +185,8 @@ def load_csv(path: str, schema: Schema) -> Dataset:
 
     Errors: missing columns raise SchemaError; a label value outside the
     two declared ones raises SchemaError naming the row; an unparseable
-    numeric cell raises RowError with the 0-based data row index.
+    or non-finite numeric cell raises RowError with the 0-based data row
+    index.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -205,12 +206,8 @@ def load_csv(path: str, schema: Schema) -> Dataset:
     numeric_cols = {name: np.empty(n, dtype=float) for name in numeric_names}
     cat_cols = {name: np.empty(n, dtype=object) for name in cat_names}
     unfav = np.empty(n, dtype=bool)
-    priv = np.empty(n, dtype=bool)
     sens_numeric = schema.privileged_min is not None
-    sens_col = None
-    if schema.sensitive not in numeric_cols and schema.sensitive not in cat_cols:
-        dtype = float if sens_numeric else object
-        sens_col = np.empty(n, dtype=dtype)
+    sens_values = np.empty(n, dtype=float if sens_numeric else object)
 
     width = max(pos[c] for c in schema.columns) + 1
     for i, row in enumerate(rows):
@@ -237,24 +234,33 @@ def load_csv(path: str, schema: Schema) -> Dataset:
         cell = row[pos[schema.sensitive]]
         if sens_numeric:
             try:
-                sval = float(cell)
+                sens_values[i] = float(cell)
             except ValueError:
                 raise RowError(
                     i, f"sensitive column {schema.sensitive!r}: {cell!r} is not a number"
                 ) from None
-            priv[i] = sval >= schema.privileged_min
-            if sens_col is not None:
-                sens_col[i] = sval
         else:
-            priv[i] = cell == schema.privileged_value
-            if sens_col is not None:
-                sens_col[i] = cell
+            sens_values[i] = cell
+
+    # float() also parses nan, inf and overflowing literals such as 1e999
+    checked = [("column", name, numeric_cols[name]) for name in numeric_names]
+    if sens_numeric:
+        checked.append(("sensitive column", schema.sensitive, sens_values))
+    for what, name, values in checked:
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            i = int(bad[0])
+            raise RowError(i, f"{what} {name!r}: {rows[i][pos[name]]!r} is not a finite number")
+    if sens_numeric:
+        priv = sens_values >= schema.privileged_min
+    else:
+        priv = sens_values == schema.privileged_value
 
     columns: dict[str, np.ndarray] = {}
     columns.update(numeric_cols)
     columns.update(cat_cols)
-    if sens_col is not None:
-        columns[schema.sensitive] = sens_col
+    if schema.sensitive not in columns:
+        columns[schema.sensitive] = sens_values
     return Dataset(
         schema=schema,
         columns=columns,
@@ -450,7 +456,7 @@ def one_hot(values: np.ndarray, categories: Sequence[str]) -> np.ndarray:
     return (values[:, None] == np.asarray(categories, dtype=object)[None, :]).astype(float)
 
 
-class FeaturePipeline(ParamsMixin):
+class FeaturePipeline:
     """One-hot encoding plus standardisation, fitted on training data.
 
     Numeric features are centred and scaled by the training standard
@@ -517,9 +523,6 @@ class FeaturePipeline(ParamsMixin):
                     out[:, block.start] - self.means_[block.name]
                 ) / self.scales_[block.name]
         return out
-
-    def fit_transform(self, d: Dataset) -> np.ndarray:
-        return self.fit(d).transform(d)
 
     def categorical_blocks(self) -> tuple[tuple[int, int], ...]:
         """(start, stop) column ranges of the one-hot blocks."""

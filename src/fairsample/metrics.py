@@ -14,8 +14,6 @@ import numpy as np
 
 from .base import InputError, check_number
 
-DI_ACCEPTABLE = (0.8, 1.2)
-
 
 @dataclass(frozen=True)
 class ConfusionCounts:
@@ -131,14 +129,6 @@ def combined_loss(
     if m_loss is None or d_loss is None:
         return None
     return weights.c_mcc * m_loss + weights.c_di * d_loss
-
-
-def di_acceptable(di: float | None, band: tuple[float, float] = DI_ACCEPTABLE) -> bool | None:
-    """Whether DI sits inside the acceptable band; None if DI is undefined."""
-    if di is None:
-        return None
-    lo, hi = band
-    return lo <= di <= hi
 
 
 @dataclass(frozen=True)

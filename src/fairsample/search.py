@@ -49,6 +49,7 @@ from .balance import (
 )
 from .base import InfeasibleError, InputError, SearchError, TrainingError, check_int, check_number
 from .classifiers import (
+    SINGLE_LABEL_TEXT,
     ClassifierSpec,
     _GradientDescent,
     _sigmoid as _sigmoid_scores,
@@ -461,7 +462,6 @@ _CHUNK = 256
 
 # a task's outcome in a chunk: scored, or why it has no report
 _OK, _INFEASIBLE, _SINGLE_LABEL, _TRAINING_ERROR = range(4)
-_SINGLE_LABEL_TEXT = "training data contains a single label value"
 
 # a task without a report: its outcome code and error text
 Failure = tuple[int, str]
@@ -704,7 +704,7 @@ def _batched_linear(
                 elif next(drawn):
                     outcomes[k] = next(coef)
                 else:
-                    outcomes[k] = (_SINGLE_LABEL, _SINGLE_LABEL_TEXT)
+                    outcomes[k] = (_SINGLE_LABEL, SINGLE_LABEL_TEXT)
         failures = [o if isinstance(o, tuple) else None for o in outcomes]
         scored = [k for k, failure in enumerate(failures) if failure is None]
         fits = np.array([outcomes[k] for k in scored]).reshape(len(scored), width + 1)
@@ -765,7 +765,7 @@ def make_model_evaluator(
                     sample = d_train.take(next(drawn))
                     ones = np.count_nonzero(sample.unfavourable)
                     if ones in (0, size):
-                        failure = (_SINGLE_LABEL, _SINGLE_LABEL_TEXT)
+                        failure = (_SINGLE_LABEL, SINGLE_LABEL_TEXT)
                 if failure is None:
                     try:
                         model = fit(spec, sample)

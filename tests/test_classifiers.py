@@ -1,5 +1,5 @@
 """Classifier tests: gradients vs finite differences, batch-vs-solo
-equivalence, scoring contracts, registry and external scores."""
+equivalence, scoring contracts and the registry."""
 from __future__ import annotations
 
 import numpy as np
@@ -8,7 +8,6 @@ import pytest
 from fairsample.base import InputError, NotFittedError, TrainingError
 from fairsample.classifiers import (
     ClassifierSpec,
-    ExternalScoreModel,
     GaussianNaiveBayes,
     LinearSVM,
     LogisticRegression,
@@ -19,7 +18,6 @@ from fairsample.classifiers import (
     classifier_kinds,
     fit,
     fit_logistic_batch,
-    load_external_scores,
     predict_labels,
     register_kind,
 )
@@ -114,7 +112,7 @@ def test_logistic_fit_reduces_loss():
     train, _ = make_train_test()
     from fairsample.dataset import FeaturePipeline
 
-    x = FeaturePipeline().fit_transform(train)
+    x = FeaturePipeline().fit(train).transform(train)
     y = train.unfavourable.astype(float)
     est = LogisticRegression().fit(x, y)
     start = logistic_loss(np.zeros(x.shape[1]), 0.0, x, y, est.l2)
@@ -485,7 +483,7 @@ def test_descent_models_reject_bad_params(cls):
             cls(**{name: value})
     cls(learning_rate=1, l2=0, tol=0.0, max_iter=1)  # the edges are allowed
     model = cls()
-    model.set_params(max_iter=0)
+    model.max_iter = 0
     with pytest.raises(InputError, match="max_iter"):
         model.fit(np.array([[0.0], [1.0]]), np.array([0.0, 1.0]))
 
@@ -499,7 +497,7 @@ def test_forest_rejects_bad_params():
         with pytest.raises(InputError, match=name):
             RandomForest(**{name: value})
     forest = RandomForest(n_trees=1, max_depth=0)
-    forest.set_params(n_trees=0)
+    forest.n_trees = 0
     with pytest.raises(InputError, match="n_trees"):
         forest.fit(np.zeros((2, 1)), np.array([0.0, 1.0]))
 
@@ -520,15 +518,6 @@ def test_unfitted_estimators_raise():
         RandomForest().predict_scores(np.zeros((2, 2)))
     with pytest.raises(NotFittedError):
         GaussianNaiveBayes().predict_scores(np.zeros((2, 2)))
-
-
-def test_params_round_trip():
-    est = LogisticRegression(learning_rate=0.3, max_iter=50)
-    assert est.get_params()["learning_rate"] == 0.3
-    est.set_params(l2=0.01)
-    assert est.l2 == 0.01
-    with pytest.raises(InputError):
-        est.set_params(not_a_knob=1)
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +554,7 @@ def test_naive_bayes_unseen_category_block():
 
 
 # ---------------------------------------------------------------------------
-# registry, thresholding, external scores
+# registry and thresholding
 
 def test_register_kind_injects_stub():
     class Stub:
@@ -602,39 +591,3 @@ def test_predict_labels_groups_and_threshold():
     with pytest.raises(InputError):
         predict_labels(model, test, 1.0)
 
-
-def test_external_scores_round_trip(tmp_path):
-    train, _ = make_train_test(seed=32, quadrants=(20, 5, 8, 4))
-    path = tmp_path / "scores.csv"
-    lines = ["row_id,score"] + [f"{rid},{(rid % 10) / 10}" for rid in train.row_ids]
-    path.write_text("\n".join(lines) + "\n")
-    model = load_external_scores(str(path))
-    assert len(model) == len(train)
-    scores = model.predict_scores(train)
-    assert np.array_equal(scores, np.array([(r % 10) / 10 for r in train.row_ids]))
-    g = predict_labels(model, train, 0.5)
-    assert g.predicted.sum() == int(np.sum(scores >= 0.5))
-
-
-def test_external_scores_errors(tmp_path):
-    bad_header = tmp_path / "a.csv"
-    bad_header.write_text("id,value\n1,0.5\n")
-    with pytest.raises(InputError, match="header"):
-        load_external_scores(str(bad_header))
-
-    bad_value = tmp_path / "b.csv"
-    bad_value.write_text("row_id,score\n1,high\n")
-    with pytest.raises(InputError, match="bad score row"):
-        load_external_scores(str(bad_value))
-
-    duplicate = tmp_path / "c.csv"
-    duplicate.write_text("row_id,score\n1,0.5\n1,0.6\n")
-    with pytest.raises(InputError, match="duplicate"):
-        load_external_scores(str(duplicate))
-
-    with pytest.raises(InputError, match="outside"):
-        ExternalScoreModel({1: 1.5})
-
-    model = ExternalScoreModel({1: 0.5})
-    with pytest.raises(InputError, match="row id 2"):
-        model.score_rows(np.array([2]))

@@ -234,7 +234,7 @@ def test_schema_without_features_is_a_config_error(tmp_path):
         ("{kind: forest, params: {n_trees: 1e30}}", "n_trees"),
         *(
             (f"{{kind: naive_bayes, params: {{var_smoothing: {value}}}}}", "var_smoothing")
-            for value in ("s", "null", "{a: 1}", ".nan", "-1", "1e30", "true", "[1]")
+            for value in ("s", "null", "{a: 1}", ".nan", "-1", "0", "1e30", "true", "[1]")
         ),
     ],
 )

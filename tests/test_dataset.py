@@ -75,9 +75,13 @@ def test_load_csv_missing_column(tmp_path):
         load_csv(str(path), TOY_SCHEMA)
 
 
-def test_load_csv_bad_numeric_cell(tmp_path):
-    path = write_toy_csv(tmp_path / "d.csv", ["63,10.5,north,0", "21,oops,south,1"])
-    with pytest.raises(RowError, match="row 1") as err:
+NOT_FINITE_OR_NOT_NUMBERS = ("oops", "nan", "inf", "-inf", "1e999")
+
+
+@pytest.mark.parametrize("cell", NOT_FINITE_OR_NOT_NUMBERS)
+def test_load_csv_bad_numeric_cell(tmp_path, cell):
+    path = write_toy_csv(tmp_path / "d.csv", ["63,10.5,north,0", f"21,{cell},south,1"])
+    with pytest.raises(RowError, match=f"row 1: column 'income': '{cell}'") as err:
         load_csv(path, TOY_SCHEMA)
     assert err.value.row == 1
 
@@ -88,9 +92,10 @@ def test_load_csv_bad_label_value(tmp_path):
         load_csv(path, TOY_SCHEMA)
 
 
-def test_load_csv_bad_sensitive_number(tmp_path):
-    path = write_toy_csv(tmp_path / "d.csv", ["old,10.5,north,0"])
-    with pytest.raises(RowError, match="row 0"):
+@pytest.mark.parametrize("cell", NOT_FINITE_OR_NOT_NUMBERS)
+def test_load_csv_bad_sensitive_number(tmp_path, cell):
+    path = write_toy_csv(tmp_path / "d.csv", ["63,10.5,north,0", f"{cell},10.5,north,0"])
+    with pytest.raises(RowError, match=f"row 1: sensitive column 'age': '{cell}'"):
         load_csv(path, TOY_SCHEMA)
 
 
@@ -259,7 +264,7 @@ def test_two_way_split_reproduces_reference_training_counts():
 def test_pipeline_layout_and_moments():
     d = generate_synthetic(SyntheticSpec(quadrants=(200, 50, 60, 20)), seed=8)
     pipe = FeaturePipeline()
-    X = pipe.fit_transform(d)
+    X = pipe.fit(d).transform(d)
     assert X.shape == (330, 4)
     assert np.allclose(X.mean(axis=0), 0.0, atol=1e-9)
     assert np.allclose(X.std(axis=0), 1.0, atol=1e-9)

@@ -13,7 +13,6 @@ from fairsample.metrics import (
     basic_metrics,
     combined_loss,
     confusion,
-    di_acceptable,
     di_loss,
     di_ratio,
     mcc,
@@ -182,15 +181,6 @@ def test_combined_loss_weights():
         LossWeights(-1.0, 1.0)
     with pytest.raises(InputError):
         LossWeights(0.0, 0.0)
-
-
-def test_di_acceptable_band():
-    assert di_acceptable(1.0) is True
-    assert di_acceptable(0.8) is True
-    assert di_acceptable(1.2) is True
-    assert di_acceptable(0.799) is False
-    assert di_acceptable(1.201) is False
-    assert di_acceptable(None) is None
 
 
 # ---------------------------------------------------------------------------
