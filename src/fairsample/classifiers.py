@@ -10,11 +10,15 @@ The two linear models (logistic and SVM) share one trainer, a batched
 kernel over a stack of (N, F) problems, so a parameter sweep can fit
 many candidate models in one vectorised pass; a single fit is the K=1
 case of the same code path, so results never depend on which path ran.
+The forest grower works the same way: it grows the trees of one forest
+or of many together (grow_forests), and each forest is the one it
+would be alone.
 """
 from __future__ import annotations
 
+import array
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -292,55 +296,201 @@ class GaussianNaiveBayes:
 # ---------------------------------------------------------------------------
 # random forest
 
-def _best_split(x, y, features):
-    """(feature, cut) of the first lowest weighted Gini split, or None.
-
-    Cumulative label counts over each sorted column score every boundary
-    at once (CART; Louppe, arXiv:1407.7502, ch. 5) as len/n * 2p(1 - p),
-    left plus right, with p = ones/len; equal neighbours never split."""
-    n = len(y)
-    columns = x[:, features].T
-    xs = np.sort(columns, axis=1, kind="stable")
-    ones = y[columns.argsort(axis=1, kind="stable")].cumsum(axis=1)
-    left_n = np.arange(1, n)
-    right_n = n - left_n
-    p_left = ones[:, :-1] / left_n
-    p_right = (ones[:, -1:] - ones[:, :-1]) / right_n
-    score = left_n / n * 2.0 * p_left * (1.0 - p_left)
-    score += right_n / n * 2.0 * p_right * (1.0 - p_right)
-    score[xs[:, 1:] == xs[:, :-1]] = np.inf
-    feat, boundary = divmod(int(score.argmin()), n - 1)
-    if score[feat, boundary] == np.inf:
-        return None
-    return int(features[feat]), 0.5 * (xs[feat, boundary + 1] + xs[feat, boundary])
+# trees grown at a time: a group's bootstraps, stacked rows and node
+# tables scale with it, never with the number of forests grown in a call
+_GROUP = 64
+# padded rows one split call scores, unless a single node has more: a
+# step's nodes go largest first in calls of at most this many, so the
+# call's arrays and its padding stay bounded when node sizes differ
+_STEP_ROWS = 1 << 14
 
 
-def _grow_tree(x, y, rng, max_depth, features_per_split, nodes, depth=0) -> int:
-    """Grow depth-first, left before right, appending each node to nodes
-    as [feature, threshold, left, right, label]; returns its index. A
-    leaf has feature -1 and points to itself, so a row that reaches it
-    stays there."""
-    index, ones = len(nodes), y.sum()
-    nodes.append([-1, 0.0, index, index, 1.0 if ones * 2 > len(y) else 0.0])
-    if depth < max_depth and 0 < ones < len(y):
-        candidates = rng.choice(x.shape[1], size=features_per_split, replace=False)
-        split = _best_split(x, y, np.sort(candidates))
-        if split is not None:
-            feat, cut = split
-            mask = x[:, feat] <= cut
-            left, right = (
-                _grow_tree(x[m], y[m], rng, max_depth, features_per_split, nodes, depth + 1)
-                for m in (mask, ~mask)
+class _Tree:
+    """A tree in growth: its generator and depth limit, its nodes so far
+    as a flat float array of [feature, threshold, left, right, label]
+    rows, and a stack of nodes still to grow, each (start, stop, ones,
+    depth, parent, side): the node's rows are order[start:stop] of its
+    group, ones of them labelled 1, and its index goes to column side
+    (2 left, 3 right) of its parent's row."""
+
+    __slots__ = ("rng", "max_depth", "nodes", "stack")
+
+    def __init__(self, rng, max_depth, root):
+        self.rng, self.max_depth, self.stack = rng, max_depth, [root]
+        self.nodes = array.array("d")
+
+
+def _grow_group(x, y, order, trees, per_split) -> None:
+    """Grow trees in lockstep on x, the rows of their forests stacked
+    and closed by a sentinel row of +inf features whose label (the last
+    of y) is 0; order holds every tree's bootstrap as row indices of x.
+
+    Each step advances every tree depth-first, left before right, past
+    its leaves to its next node that may split, so each tree numbers its
+    nodes and draws its candidate features exactly as when grown alone,
+    and scores those nodes together, largest first, in calls of at most
+    _STEP_ROWS padded rows. In a call, the nodes' candidate columns,
+    padded with the sentinel to the largest node, are sorted together,
+    and cumulative label counts score every boundary (CART; Louppe,
+    arXiv:1407.7502, ch. 5) as len/n * 2p(1 - p), left plus right, with
+    p = ones/len. Equal neighbours never split, nor boundaries at or
+    past a node's size; the first lowest score, feature before boundary,
+    wins. A split rewrites the node's slice of order in its sorted
+    order, so the rows at or below the cut are the left child's slice
+    and the rest the right's. A leaf has feature -1 and points to
+    itself, so a row that reaches it stays there.
+    """
+    width = x.shape[1]
+    live = list(trees)
+    while live:
+        batch = []
+        for tree in live:
+            nodes, stack = tree.nodes, tree.stack
+            while stack:
+                start, stop, ones, depth, parent, side = stack.pop()
+                index = len(nodes) // 5
+                if parent >= 0:
+                    nodes[5 * parent + side] = index
+                nodes.extend((-1, 0.0, index, index, 1.0 if ones * 2 > stop - start else 0.0))
+                if depth < tree.max_depth and 0 < ones < stop - start:
+                    candidates = tree.rng.choice(width, size=per_split, replace=False)
+                    batch.append((tree, index, start, stop, ones, depth, sorted(candidates.tolist())))
+                    break
+        batch.sort(key=lambda node: node[2] - node[3])  # largest first
+        while batch:
+            take = max(1, _STEP_ROWS // (batch[0][3] - batch[0][2]))
+            _split_nodes(x, y, order, batch[:take])
+            del batch[:take]
+        live = [tree for tree in live if tree.stack]
+
+
+def _split_nodes(x, y, order, batch) -> None:
+    """Score and split nodes of a step, each (tree, index, start, stop,
+    ones, depth, candidate features), as _grow_group describes.
+
+    The sort need not be stable: inputs are finite, so the sentinels
+    sort last, and ties are never split, so neither a boundary's counts
+    nor a child's rows depend on the order of equal values."""
+    features = np.array([node[6] for node in batch])
+    m, k = features.shape
+    starts = np.array([node[2] for node in batch])
+    sizes = np.array([node[3] for node in batch]) - starts
+    span = np.arange(sizes.max())
+    inside = span < sizes[:, None]
+    rows = np.where(inside, order.take(starts[:, None] + span, mode="clip"), len(x) - 1)
+    columns = x.ravel().take(rows[:, None, :] * x.shape[1] + features[:, :, None])
+    rank = columns.argsort(axis=2)
+    xs = columns.ravel().take(rank + (np.arange(m * k) * len(span)).reshape(m, k, 1))
+    ranked = rows.ravel().take(rank + (np.arange(m) * len(span)).reshape(m, 1, 1))
+    ones = y.take(ranked).cumsum(axis=2)
+    n = sizes[:, None, None]
+    left_n = span[1:]
+    right_n = np.maximum(n - left_n, 1)  # 1 past a node's size, masked below
+    p_left = ones[:, :, :-1] / left_n
+    p_right = ones[:, :, -1:] - ones[:, :, :-1]
+    p_right /= right_n
+    # len/n * 2p(1 - p) for each side, multiplied in that order
+    score = left_n / n * 2.0 * p_left
+    score *= np.subtract(1.0, p_left, out=p_left)
+    right = right_n / n * 2.0 * p_right
+    right *= np.subtract(1.0, p_right, out=p_right)
+    score += right
+    score[(xs[:, :, 1:] == xs[:, :, :-1]) | (left_n >= n)] = np.inf
+    score = score.reshape(m, -1)
+    best = score.argmin(axis=1)
+    split = np.flatnonzero(score[np.arange(m), best] < np.inf)
+    if not split.size:
+        return
+    feat, boundary = np.divmod(best[split], len(span) - 1)
+    line = xs[split, feat]
+    at = np.arange(len(split))
+    cut = 0.5 * (line[at, boundary + 1] + line[at, boundary])
+    # the rows at or below the cut, a prefix of the sorted line
+    left_size = np.minimum((line <= cut[:, None]).sum(axis=1), sizes[split])
+    left_ones = ones[split, feat, left_size - 1].astype(int)
+    keep = inside[split]
+    order[(starts[split, None] + span)[keep]] = ranked[split, feat][keep]
+    chosen = features[split, feat]
+    for j, f, c, size, left in zip(
+        split.tolist(), chosen.tolist(), cut.tolist(), left_size.tolist(), left_ones.tolist()
+    ):
+        tree, index, start, stop, ones_total, depth, _ = batch[j]
+        nodes = tree.nodes
+        nodes[5 * index], nodes[5 * index + 1], nodes[5 * index + 4] = f, c, 0.0
+        tree.stack.append((start + size, stop, ones_total - left, depth + 1, index, 3))
+        tree.stack.append((start, start + size, left, depth + 1, index, 2))
+
+
+def grow_forests(jobs: Iterable[tuple["RandomForest", np.ndarray, np.ndarray]]) -> Iterator[int]:
+    """Fit each job's forest on its (x, y), as forest.fit(x, y) would,
+    growing the trees of many forests together (_grow_group); yields a
+    job's position among the jobs once its forest is fitted.
+
+    Trees grow in groups of at most _GROUP that share one width, so a
+    forest whose trees span groups is fitted when the last of them ends.
+    Each tree has its own generator (Breiman, Mach. Learn. 2001), which
+    draws its bootstrap when its group starts, so the trees are those
+    grown one at a time. Jobs are read as the groups fill: the inputs
+    held are those of the trees not yet grown, at most _GROUP - 1 trees'
+    worth a width, besides the growing group's.
+    """
+    forests, inputs, trees = [], [], []
+    queues: dict[int, list[tuple[int, int]]] = {}
+    spawned: dict[tuple[int, int], list] = {}
+
+    def grow(queue):
+        group, queue[:] = queue[:_GROUP], queue[_GROUP:]
+        members = list(dict.fromkeys(position for position, _ in group))
+        width = inputs[members[0]][0].shape[1]
+        offsets = dict(zip(members, np.cumsum([0] + [len(inputs[p][1]) for p in members])))
+        x = np.concatenate([inputs[p][0] for p in members] + [np.full((1, width), np.inf)])
+        y = np.concatenate([inputs[p][1] for p in members] + [np.zeros(1)])
+        order = np.empty(sum(len(inputs[p][1]) for p, _ in group), dtype=np.intp)
+        grown, start = [], 0
+        for position, t in group:
+            forest = forests[position]
+            n = len(inputs[position][1])
+            rng = np.random.default_rng(spawned[forest.seed, forest.n_trees][t])
+            pick = rng.integers(0, n, size=n)
+            order[start : start + n] = pick + offsets[position]
+            root = (start, start + n, int(inputs[position][1][pick].sum()), 0, -1, 0)
+            trees[position][t] = _Tree(rng, forest.max_depth, root)
+            grown.append(trees[position][t])
+            start += n
+        _grow_group(x, y, order, grown, max(1, int(np.sqrt(width))))
+        for position in members:
+            if None not in trees[position]:
+                forests[position]._set_nodes(trees[position])
+                inputs[position] = trees[position] = None
+                yield position
+
+    for position, (forest, x, y) in enumerate(jobs):
+        forest._check_params()
+        x = as_float_matrix(x)
+        y = as_label_vector(y, len(x))
+        _require_two_classes(y)
+        if (forest.seed, forest.n_trees) not in spawned:
+            spawned[forest.seed, forest.n_trees] = np.random.SeedSequence(forest.seed).spawn(
+                forest.n_trees
             )
-            nodes[index] = [feat, cut, left, right, 0.0]
-    return index
+        forests.append(forest)
+        inputs.append((x, y))
+        trees.append([None] * forest.n_trees)  # each set when its group starts
+        queue = queues.setdefault(x.shape[1], [])
+        queue.extend((position, t) for t in range(forest.n_trees))
+        while len(queue) >= _GROUP:
+            yield from grow(queue)
+    for queue in queues.values():
+        while queue:
+            yield from grow(queue)
 
 
 class RandomForest:
     """Bagged decision trees; the score is the fraction of trees voting
     for the unfavourable class, so it is always a multiple of 1/n_trees.
     Fitted trees are flat: node arrays feature_, threshold_, left_,
-    right_ and label_ hold every tree in turn; roots_ indexes each."""
+    right_ and label_ hold every tree in turn; roots_ indexes each. fit
+    is grow_forests with this forest alone."""
 
     def __init__(self, n_trees: int = 100, max_depth: int = 12, seed: int = 0):
         self.n_trees = n_trees
@@ -354,24 +504,19 @@ class RandomForest:
         check_int(self.seed, "seed")
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "RandomForest":
-        self._check_params()
-        x = as_float_matrix(x)
-        y = as_label_vector(y, len(x))
-        _require_two_classes(y)
-        n, f = x.shape
-        per_split = max(1, int(np.sqrt(f)))
-        seeds = np.random.SeedSequence(self.seed).spawn(self.n_trees)
-        nodes: list[list] = []
-        roots = []
-        for s in seeds:
-            rng = np.random.default_rng(s)
-            pick = rng.integers(0, n, size=n)
-            roots.append(_grow_tree(x[pick], y[pick], rng, self.max_depth, per_split, nodes))
-        table = np.array(nodes)
-        self.roots_ = np.array(roots)
+        for _ in grow_forests([(self, x, y)]):
+            pass
+        return self
+
+    def _set_nodes(self, trees: list[_Tree]) -> None:
+        """Flatten grown trees into the node arrays, tree after tree."""
+        sizes = [len(tree.nodes) // 5 for tree in trees]
+        starts = np.cumsum([0] + sizes[:-1])
+        table = np.concatenate([np.frombuffer(tree.nodes) for tree in trees]).reshape(-1, 5)
+        table[:, 2:4] += np.repeat(starts, sizes)[:, None]
+        self.roots_ = starts
         self.feature_, self.left_, self.right_ = table[:, [0, 2, 3]].T.astype(int)
         self.threshold_, self.label_ = table[:, 1], table[:, 4]
-        return self
 
     def predict_scores(self, x: np.ndarray) -> np.ndarray:
         check_fitted(self, "roots_")
@@ -450,26 +595,94 @@ class TrainedModel:
         return self.estimator.predict_scores(self.pipeline.transform(d))
 
 
-def fit(spec: ClassifierSpec, train: Dataset) -> TrainedModel:
+def _unfitted(spec: ClassifierSpec, train: Dataset) -> tuple[TrainedModel, np.ndarray, np.ndarray]:
+    """A model whose pipeline is fitted on train and whose estimator is
+    not yet, with the (x, y) the estimator is to be fitted on."""
     pipeline = FeaturePipeline().fit(train)
     x = pipeline.transform(train)
     y = train.unfavourable.astype(float)
     _require_two_classes(y)
     estimator = build_estimator(spec, pipeline.categorical_blocks())
-    estimator.fit(x, y)
-    return TrainedModel(spec=spec, pipeline=pipeline, estimator=estimator)
+    return TrainedModel(spec=spec, pipeline=pipeline, estimator=estimator), x, y
+
+
+def fit(spec: ClassifierSpec, train: Dataset) -> TrainedModel:
+    model, x, y = _unfitted(spec, train)
+    model.estimator.fit(x, y)
+    return model
+
+
+def fit_each(
+    spec: ClassifierSpec, samples: Iterable[Dataset]
+) -> Iterator[tuple[int, TrainedModel | TrainingError]]:
+    """(i, fit(spec, sample i)) for every sample, or (i, the
+    TrainingError that fit raised), as each model is done.
+
+    Forests are grown together through grow_forests, which reads the
+    samples as its groups fill; every other kind is fitted one sample
+    at a time. Either way a sample's model is the one fit gives it.
+    """
+    if not isinstance(build_estimator(spec), RandomForest):
+        for i, sample in enumerate(samples):
+            try:
+                yield i, fit(spec, sample)
+            except TrainingError as exc:
+                yield i, exc
+        return
+    # per forest job: its sample's number and its model, until yielded
+    numbers: list[int] = []
+    models: list[TrainedModel | None] = []
+    refused: list[tuple[int, TrainingError]] = []
+
+    def jobs():
+        for i, sample in enumerate(samples):
+            try:
+                model, x, y = _unfitted(spec, sample)
+            except TrainingError as exc:
+                refused.append((i, exc))
+                continue
+            numbers.append(i)
+            models.append(model)
+            yield model.estimator, x, y
+
+    for position in grow_forests(jobs()):
+        yield from refused
+        refused.clear()
+        yield numbers[position], models[position]
+        models[position] = None
+    yield from refused
+
+
+def model_scores(model, d: Dataset) -> np.ndarray:
+    """model.predict_scores(d), checked: a float vector of one score a
+    row of d, each finite and in [0, 1]. Any other output raises
+    TrainingError naming the model's kind and the fault, so a threshold
+    never meets a score it cannot order."""
+    kind = getattr(getattr(model, "spec", None), "kind", type(model).__name__)
+    scores = np.asarray(model.predict_scores(d))
+    fault = None
+    if scores.shape != (len(d),):
+        fault = f"shape {scores.shape}, expected ({len(d)},)"
+    elif not np.issubdtype(scores.dtype, np.floating):
+        fault = f"dtype {scores.dtype}, expected floats"
+    elif not np.isfinite(scores).all():
+        fault = f"{np.count_nonzero(~np.isfinite(scores))} non-finite values"
+    elif len(scores) and (scores.min() < 0.0 or scores.max() > 1.0):
+        fault = f"values outside [0, 1], from {float(scores.min())!r} to {float(scores.max())!r}"
+    if fault is not None:
+        raise TrainingError(f"{kind} model scores have {fault}")
+    return scores.astype(float, copy=False)
 
 
 def predict_labels(model, d: Dataset, threshold: float) -> GroupedPredictions:
     """Threshold a model's scores into grouped 0/1 predictions.
 
     A row is called unfavourable when its score reaches the threshold.
-    Works for any object with predict_scores(dataset).
+    Works for any object with predict_scores(dataset) whose scores pass
+    model_scores.
     """
     check_number(threshold, "threshold", 0.0, 1.0, "()")
-    scores = np.asarray(model.predict_scores(d), dtype=float)
-    if scores.shape != (len(d),):
-        raise InputError("scores length does not match the dataset")
+    scores = model_scores(model, d)
     return GroupedPredictions(
         privileged=d.privileged,
         actual=d.unfavourable,

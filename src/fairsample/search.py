@@ -12,7 +12,8 @@ Evaluation is pluggable: the default evaluator samples, trains and
 scores real models, while tests inject analytic stubs through the same
 seam. Linear (logistic, svm) fits, on numeric and categorical features
 alike, go through one vectorised kernel a chunk of tasks at a time,
-with the one-hot categories fixed on the training split. A level's
+with the one-hot categories fixed on the training split; a chunk's
+forests grow together, their trees in lockstep. A level's
 chunks run in forked worker processes, one per usable CPU at most, and
 return tables of counts from which the search builds every point.
 All ordering is deterministic; per-point seeds hash the global seed
@@ -54,8 +55,9 @@ from .classifiers import (
     _GradientDescent,
     _sigmoid as _sigmoid_scores,
     build_estimator,
-    fit,
+    fit_each,
     fit_logistic_batch,
+    model_scores,
 )
 from .dataset import Dataset, FeaturePipeline, quadrant_counts
 from .metrics import (
@@ -719,6 +721,67 @@ def _batched_linear(
     return run_chunk
 
 
+def _fitted_each(
+    d_train: Dataset,
+    d_eval: Dataset,
+    spec: ClassifierSpec,
+    size: int,
+    sweep: _ThresholdSweep,
+) -> Callable[[list[Task]], _ChunkTable]:
+    """Evaluation of a chunk of tasks by fitting each sample through
+    classifiers.fit_each, which grows a chunk's forests together.
+
+    Each model is scored on the evaluation set as soon as it is fitted
+    and dropped; its scores, checked by model_scores, are swept with up
+    to _SWEEP_BLOCK other tasks' at a time, which leaves every task's
+    choice as it is alone.
+    """
+
+    def run_chunk(chunk: list[Task]) -> _ChunkTable:
+        rows, reasons = _draw_chunk(d_train, chunk, size)
+        failures: list[Failure | None] = [
+            None if reason is None else (_INFEASIBLE, reason) for reason in reasons
+        ]
+        drawn = [k for k, reason in enumerate(reasons) if reason is None]
+        ones = np.count_nonzero(d_train.unfavourable[rows], axis=1)
+        fitted, sample_rows = [], []
+        for k, sample, count in zip(drawn, rows, ones.tolist()):
+            if count in (0, size):
+                failures[k] = (_SINGLE_LABEL, SINGLE_LABEL_TEXT)
+            else:
+                fitted.append(k)
+                sample_rows.append(sample)
+        threshold = np.empty(len(chunk))
+        counts = np.empty((len(chunk), len(_COUNT_COLUMNS)), dtype=np.int64)
+        block: list[tuple[int, np.ndarray]] = []
+
+        def sweep_block() -> None:
+            tasks = [k for k, _ in block]
+            chosen = sweep.choose(
+                np.column_stack([scores for _, scores in block]), [chunk[k][1] for k in tasks]
+            )
+            threshold[tasks], counts[tasks] = chosen
+            block.clear()
+
+        samples = (d_train.take(sample) for sample in sample_rows)
+        for i, model in fit_each(spec, samples):
+            k = fitted[i]
+            try:
+                if isinstance(model, TrainingError):
+                    raise model
+                block.append((k, model_scores(model, d_eval)))
+            except TrainingError as exc:
+                failures[k] = (_TRAINING_ERROR, str(exc))
+            if len(block) == _SWEEP_BLOCK:
+                sweep_block()
+        if block:
+            sweep_block()
+        scored = [k for k, failure in enumerate(failures) if failure is None]
+        return _chunk_table(sweep, chunk, failures, [(threshold[scored], counts[scored])])
+
+    return run_chunk
+
+
 def make_model_evaluator(
     d_train: Dataset,
     d_eval: Dataset,
@@ -734,7 +797,8 @@ def make_model_evaluator(
     one pass (_draw_chunk). Linear (logistic, svm) specs, numeric or
     categorical, fit a chunk through the batched descent kernel (see
     _batched_linear); every other kind trains each sample through
-    classifiers.fit. A chunk returns a _ChunkTable of counts, outcome
+    classifiers.fit_each, which grows a chunk's forests together (see
+    _fitted_each). A chunk returns a _ChunkTable of counts, outcome
     codes and error indices, never point objects; evaluate builds every
     point from its task and its table row (_chunk_points), so all paths
     share one point builder. A call with several chunks runs them on
@@ -753,29 +817,7 @@ def make_model_evaluator(
     if isinstance(template, _GradientDescent):
         run_chunk = _batched_linear(d_train, d_eval, template, size, sweep, reuse_fits)
     else:
-
-        def run_chunk(chunk: list[Task]) -> _ChunkTable:
-            rows, reasons = _draw_chunk(d_train, chunk, size)
-            drawn = iter(rows)
-            failures: list[Failure | None] = []
-            chosen = []
-            for (_, thresholds, _), reason in zip(chunk, reasons):
-                failure = None if reason is None else (_INFEASIBLE, reason)
-                if failure is None:
-                    sample = d_train.take(next(drawn))
-                    ones = np.count_nonzero(sample.unfavourable)
-                    if ones in (0, size):
-                        failure = (_SINGLE_LABEL, SINGLE_LABEL_TEXT)
-                if failure is None:
-                    try:
-                        model = fit(spec, sample)
-                    except TrainingError as exc:
-                        failure = (_TRAINING_ERROR, str(exc))
-                failures.append(failure)
-                if failure is None:
-                    scores = np.asarray(model.predict_scores(d_eval))
-                    chosen.append(sweep.choose(scores[:, None], [thresholds]))
-            return _chunk_table(sweep, chunk, failures, chosen)
+        run_chunk = _fitted_each(d_train, d_eval, spec, size, sweep)
 
     def evaluate(tasks: list[Task]) -> list[EvaluationPoint]:
         chunks = [tasks[start : start + _CHUNK] for start in range(0, len(tasks), _CHUNK)]

@@ -2,9 +2,13 @@
 equivalence, scoring contracts and the registry."""
 from __future__ import annotations
 
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import fairsample.classifiers as classifiers_mod
 from fairsample.base import InputError, NotFittedError, TrainingError
 from fairsample.classifiers import (
     ClassifierSpec,
@@ -18,6 +22,7 @@ from fairsample.classifiers import (
     classifier_kinds,
     fit,
     fit_logistic_batch,
+    grow_forests,
     predict_labels,
     register_kind,
 )
@@ -471,6 +476,106 @@ def test_forest_matches_quadratic_oracle(x, y, depth):
         assert np.array_equal(forest.predict_scores(probe), oracle_scores(trees, probe))
 
 
+# ---------------------------------------------------------------------------
+# forests grown together: every tree as grown alone, memory bounded by
+# the group
+
+
+def forest_arrays(forest):
+    return [
+        getattr(forest, name)
+        for name in ("roots_", "feature_", "threshold_", "left_", "right_", "label_")
+    ]
+
+
+def grow_together(problems):
+    """Forests for (x, y, n_trees, max_depth, seed) problems, grown in
+    one grow_forests call; each is yielded exactly once."""
+    forests = [RandomForest(n_trees=t, max_depth=d, seed=s) for _, _, t, d, s in problems]
+    done = list(grow_forests((f, x, y) for f, (x, y, *_) in zip(forests, problems)))
+    assert sorted(done) == list(range(len(problems)))
+    return forests
+
+
+def together_fixtures():
+    rng = np.random.default_rng(77)
+    one_hot = np.eye(5)[rng.integers(0, 5, size=60)]
+    wide = np.column_stack([rng.normal(size=(60, 4)), one_hot])
+    labels = (wide[:, 0] + rng.normal(size=60) > 0.3).astype(float)
+    labels[:2] = [0.0, 1.0]
+    # a sample that lacks a category has one column fewer
+    narrow = np.delete(wide, 5, axis=1)
+    repeated = np.repeat(np.round(rng.normal(size=(8, 3)), 1), 6, axis=0)
+    yield pytest.param([
+        (wide, labels, 5, 12, 1),
+        (narrow, labels, 5, 12, 1),
+        (wide[:40], labels[:40], 3, 12, 2),
+        (narrow[10:], labels[10:], 7, 12, 1),
+        (wide[::-1], labels[::-1], 4, 12, 9),
+    ], id="mixed_widths")
+    yield pytest.param([(wide, labels, 5, depth, 3) for depth in (0, 1, 12)], id="depths")
+    yield pytest.param(
+        [(repeated, np.repeat([0.0, 1.0] * 4, 6), 5, 12, seed) for seed in (0, 1, 2)],
+        id="duplicate_rows",
+    )
+    two = np.array([[0.0, 1.0], [1.0, 1.0]])
+    yield pytest.param(
+        [(two, np.array([0.0, 1.0]), 5, 12, s) for s in (0, 4)] + [(wide, labels, 5, 12, 0)],
+        id="n_equals_2",
+    )
+
+
+@pytest.mark.parametrize("group,step_rows", [(3, 16), (64, classifiers_mod._STEP_ROWS)])
+@pytest.mark.parametrize("problems", list(together_fixtures()))
+def test_forests_grown_together_match_each_alone(problems, group, step_rows, monkeypatch):
+    alone = [RandomForest(n_trees=t, max_depth=d, seed=s).fit(x, y) for x, y, t, d, s in problems]
+    # at 3 a forest's trees span groups, and a group mixes forests; at
+    # 16 rows a step scores its large nodes alone and its small together
+    monkeypatch.setattr(classifiers_mod, "_GROUP", group)
+    monkeypatch.setattr(classifiers_mod, "_STEP_ROWS", step_rows)
+    together = grow_together(problems)
+    for want, got in zip(alone, together):
+        for a, b in zip(forest_arrays(want), forest_arrays(got)):
+            assert a.dtype == b.dtype and a.tolist() == b.tolist()
+
+
+def traced_growth(count, n=86, width=9):
+    """The traced peak of growing count eight-tree forests of width
+    width on n rows, net of the forests grown (traced from before the
+    first allocation of the growth to after it), and the forests."""
+    rng = np.random.default_rng(count)
+    problems = []
+    for _ in range(count):
+        x = np.round(rng.normal(size=(n, width)), 1)
+        y = (x[:, 0] + rng.normal(size=n) > 0.5).astype(float)
+        y[:2] = [0.0, 1.0]
+        problems.append((x, y, 8, 12, 1))
+    tracemalloc.start()
+    try:
+        forests = grow_together(problems)
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - after, forests
+
+
+def test_growing_forests_holds_memory_by_group_not_by_forest(monkeypatch):
+    n, width = 86, 9
+    # one group's working set, independent of the forest count: its
+    # forests' stacked rows, its trees' bootstraps, and a step's
+    # (trees, candidate features, rows) arrays, at most 16 live at once
+    per_split = int(np.sqrt(width))
+    bound = classifiers_mod._GROUP * n * (width * 8 + 8 + per_split * 8 * 16)
+    for count in (64, 256):
+        net, _ = traced_growth(count, n, width)
+        assert net < bound, (count, net, bound)
+    # every bootstrap drawn up front, one group for all the trees,
+    # breaks the bound already at 64 forests
+    monkeypatch.setattr(classifiers_mod, "_GROUP", 64 * 8)
+    net, _ = traced_growth(64, n, width)
+    assert net > bound, (net, bound)
+
+
 @pytest.mark.parametrize("cls", [LogisticRegression, LinearSVM])
 def test_descent_models_reject_bad_params(cls):
     bad = [
@@ -574,6 +679,45 @@ def test_register_kind_injects_stub():
     assert np.all(model.predict_scores(test) == 0.7)
     with pytest.raises(InputError):
         build_estimator(ClassifierSpec("no_such_kind"))
+
+
+class FaultyScores:
+    """Fits anything, then scores with one fault: a score too few, NaN
+    on every other row, or 3.0 everywhere."""
+
+    def __init__(self, fault):
+        self.fault = fault
+
+    def fit(self, x, y):
+        return self
+
+    def predict_scores(self, x):
+        n = len(x)
+        if self.fault == "short":
+            return np.full(n - 1, 0.5)
+        if self.fault == "nan":
+            return np.where(np.arange(n) % 2 == 0, np.nan, 0.25)
+        return np.full(n, 3.0)
+
+
+# each faulty kind and the fault its TrainingError names
+FAULTY_KINDS = {
+    "short_scores_for_tests": "shape",
+    "nan_scores_for_tests": "non-finite",
+    "high_scores_for_tests": "outside [0, 1]",
+}
+for _kind in FAULTY_KINDS:
+    register_kind(
+        _kind, lambda params, seed, blocks, fault=_kind.split("_")[0]: FaultyScores(fault)
+    )
+
+
+@pytest.mark.parametrize("kind", sorted(FAULTY_KINDS))
+def test_predict_labels_rejects_faulty_scores(kind):
+    train, test = make_train_test(seed=32, quadrants=(40, 10, 15, 8))
+    model = fit(ClassifierSpec(kind), train)
+    with pytest.raises(TrainingError, match=rf"{kind}.*{re.escape(FAULTY_KINDS[kind])}"):
+        predict_labels(model, test, 0.5)
 
 
 def test_predict_labels_groups_and_threshold():

@@ -551,6 +551,22 @@ def test_baseline_renders_undefined_cells_as_nan(tmp_path):
     assert trained["note"] == ""
 
 
+def test_baseline_writes_an_error_row_for_faulty_scores(tmp_path):
+    from test_classifiers import FAULTY_KINDS
+
+    out = tmp_path / "faulty_out"
+    extra = "".join(f"  - {{kind: {kind}}}\n" for kind in sorted(FAULTY_KINDS))
+    cfg = small_synthetic_config(tmp_path, out=out, extra_classifiers=extra)
+    result = runner.invoke(main, ["baseline", "--config", cfg])
+    assert result.exit_code == 0, result.output
+    rows = {r["classifier"]: r for r in read_rows(out / "baseline.csv")}
+    assert set(rows) == {"logistic", *FAULTY_KINDS}
+    for kind, fault in FAULTY_KINDS.items():
+        assert kind in rows[kind]["note"] and fault in rows[kind]["note"]
+        assert all(rows[kind][column] == "NaN" for column in TABLE_COLUMNS)
+    assert rows["logistic"]["note"] == ""
+
+
 def test_baseline_cells_round_trip_at_printed_precision(tmp_path):
     from fairsample.classifiers import ClassifierSpec, fit, predict_labels
     from fairsample.cli import PLACES, TABLE_COLUMNS, _load_dataset

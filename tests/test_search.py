@@ -61,6 +61,7 @@ from fairsample.search import (
     point_seed,
     select_optimal,
 )
+from test_classifiers import FAULTY_KINDS
 from test_metrics import scalar_report
 
 SMALL_GRID = GridSpec(
@@ -739,6 +740,28 @@ def test_model_evaluator_matches_reference(corpus):
                     assert got[key] is None
                 else:
                     assert got[key] == pytest.approx(want[key], rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("kind", sorted(FAULTY_KINDS))
+def test_faulty_scores_make_training_error_points(kind, monkeypatch):
+    # a score too few, NaN scores and scores of 3.0 each fail the task
+    # with a training error naming the kind and the fault
+    tables = []
+    chunk_points = search_mod._chunk_points
+
+    def recording(chunk, table, *args):
+        tables.append(table)
+        return chunk_points(chunk, table, *args)
+
+    monkeypatch.setattr(search_mod, "_chunk_points", recording)
+    tasks = model_tasks()
+    points = make_model_evaluator(TRAIN, EVAL, ClassifierSpec(kind=kind), WEIGHTS, SIZE)(tasks)
+    assert [table.outcome.tolist() for table in tables] == [
+        [search_mod._TRAINING_ERROR] * len(tasks)
+    ]
+    for point in points:
+        assert not point.valid and point.report is None
+        assert kind in point.error and FAULTY_KINDS[kind] in point.error
 
 
 def test_model_evaluator_generic_kind_matches_reference():
