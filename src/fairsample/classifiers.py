@@ -618,6 +618,8 @@ def fit_each(
     """(i, fit(spec, sample i)) for every sample, or (i, the
     TrainingError that fit raised), as each model is done.
 
+    Every sample must hold both labels (search._draw_chunk fails the
+    others first); a forest's one-label sample raises TrainingError.
     Forests are grown together through grow_forests, which reads the
     samples as its groups fill; every other kind is fitted one sample
     at a time. Either way a sample's model is the one fit gives it.
@@ -629,28 +631,17 @@ def fit_each(
             except TrainingError as exc:
                 yield i, exc
         return
-    # per forest job: its sample's number and its model, until yielded
-    numbers: list[int] = []
-    models: list[TrainedModel | None] = []
-    refused: list[tuple[int, TrainingError]] = []
+    models: list[TrainedModel | None] = []  # per sample, until yielded
 
     def jobs():
-        for i, sample in enumerate(samples):
-            try:
-                model, x, y = _unfitted(spec, sample)
-            except TrainingError as exc:
-                refused.append((i, exc))
-                continue
-            numbers.append(i)
+        for sample in samples:
+            model, x, y = _unfitted(spec, sample)
             models.append(model)
             yield model.estimator, x, y
 
     for position in grow_forests(jobs()):
-        yield from refused
-        refused.clear()
-        yield numbers[position], models[position]
+        yield position, models[position]
         models[position] = None
-    yield from refused
 
 
 def model_scores(model, d: Dataset) -> np.ndarray:

@@ -237,7 +237,7 @@ def load_config(path: str, seed: int | None = None, out: str | None = None) -> R
             specs.append(_classifier(entry, run_seed))
     classifiers = tuple(specs)
 
-    out_dir = _path(data.get("out", "out"), "out") if out is None else str(out)
+    out_dir = _path(data.get("out", "out"), "out") if out is None else _path(out, "--out")
 
     resolved = {
         "dataset": {"csv": csv_path} if csv_path is not None else {
@@ -305,7 +305,10 @@ def _splits(cfg: RunConfig, need: int) -> tuple[Dataset, ...]:
 
 
 def _ensure_out(cfg: RunConfig) -> str:
-    os.makedirs(cfg.out, exist_ok=True)
+    try:
+        os.makedirs(cfg.out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {cfg.out!r}: {exc}") from exc
     return cfg.out
 
 
@@ -604,10 +607,16 @@ def search(config_path, seed, out_dir):
         )
 
 
-def _stored_optima(path: str) -> list[tuple[Any, tuple | None]]:
+# the config keys that pick the data and the samples a stored optimum
+# was trained on; report re-scores it only when these match
+_SEARCH_KEYS = ("dataset", "schema", "split", "seed")
+
+
+def _stored_optima(path: str, cfg: RunConfig) -> list[tuple[Any, tuple | None]]:
     """(label, optimum) per entry of a search_state.json: (spec, knobs,
     threshold, sample size, sample seed), or None where the search found
-    no valid point. A file unlike what search writes is an InputError."""
+    no valid point. A file unlike what search writes, or one whose
+    config differs from cfg in a key of _SEARCH_KEYS, is an InputError."""
     try:
         with open(path) as fh:
             state = json.load(fh)
@@ -636,6 +645,15 @@ def _stored_optima(path: str) -> list[tuple[Any, tuple | None]]:
         except InputError as exc:
             raise InputError(f"{where}: {exc}") from exc
         optima.append((label, (spec, params, threshold, size, sample_seed)))
+    searched = state.get("config")
+    if not isinstance(searched, dict):
+        raise InputError(f"results {path!r} hold no search config")
+    for key in _SEARCH_KEYS:
+        if key not in searched or searched[key] != cfg.resolved[key]:
+            raise InputError(
+                f"results {path!r} come from a search with another {key} "
+                f"({searched.get(key)!r}; this config has {cfg.resolved[key]!r})"
+            )
     return optima
 
 
@@ -651,7 +669,7 @@ def report(config_path, seed, out_dir, results_path, test_path):
     cfg = load_config(config_path, seed=seed, out=out_dir)
     if results_path is None:
         results_path = os.path.join(cfg.out, "search_state.json")
-    optima = _stored_optima(results_path)
+    optima = _stored_optima(results_path, cfg)
     try:
         larger = load_csv(test_path, cfg.effective_schema)
     except OSError as exc:

@@ -489,11 +489,16 @@ def _chunk_table(
     sweep: _ThresholdSweep,
     chunk: list[Task],
     failures: list[Failure | None],
-    chosen: list[tuple[np.ndarray, np.ndarray]],
+    blocks: Iterable[tuple[list[int], np.ndarray]],
     fits: np.ndarray | None = None,
 ) -> _ChunkTable:
-    """The table of a chunk whose tasks failed as failures says (None:
-    scored) and whose scored tasks' sweep results are chosen, in order."""
+    """A chunk's table: sweep.choose on each block of (task indices,
+    (N_eval, B) scores), then per task its failure (None: scored), read
+    once the blocks are used up, so a route may add one as it scores."""
+    threshold = np.array([thresholds[0] for _, thresholds, _ in chunk], dtype=float)
+    counts = np.zeros((len(chunk), len(_COUNT_COLUMNS)), dtype=sweep.count_type)
+    for tasks, scores in blocks:
+        threshold[tasks], counts[tasks] = sweep.choose(scores, [chunk[k][1] for k in tasks])
     texts: dict[str, int] = {}
     outcome = np.zeros(len(chunk), dtype=np.int8)
     error = np.full(len(chunk), -1, dtype=np.int32)
@@ -501,12 +506,6 @@ def _chunk_table(
         if failure is not None:
             outcome[k] = failure[0]
             error[k] = texts.setdefault(failure[1], len(texts))
-    threshold = np.array([thresholds[0] for _, thresholds, _ in chunk], dtype=float)
-    counts = np.zeros((len(chunk), len(_COUNT_COLUMNS)), dtype=sweep.count_type)
-    if chosen:
-        scored = outcome == _OK
-        threshold[scored] = np.concatenate([t for t, _ in chosen])
-        counts[scored] = np.concatenate([c for _, c in chosen])
     return _ChunkTable(outcome, error, tuple(texts), threshold, counts, fits)
 
 
@@ -552,23 +551,31 @@ def _chunk_points(
 
 def _draw_chunk(
     d_train: Dataset, chunk: list[Task], size: int
-) -> tuple[np.ndarray, list[str | None]]:
+) -> tuple[np.ndarray, list[Failure | None]]:
     """The samples of a chunk's tasks in one pass (balance.draw_samples):
-    the rows of the tasks that have one, in task order, and per task None
-    or why it has none."""
+    the rows of those that hold both labels, in task order, and per task
+    None or its failure, _INFEASIBLE or _SINGLE_LABEL."""
     counts = quadrant_counts(d_train)
     plans: list[SamplingPlan] = []
-    reasons: list[str | None] = []
+    failures: list[Failure | None] = []
     for params, _, _ in chunk:
         try:
             plans.append(compute_plan(counts, params))
-            reasons.append(None)
+            failures.append(None)
         except InfeasibleError as exc:
-            reasons.append(str(exc))
-    seeds = [seed for (_, _, seed), reason in zip(chunk, reasons) if reason is None]
-    rows, short = draw_samples(d_train, plans, seeds, size)
-    drawn = iter(short)
-    return rows, [next(drawn) if reason is None else reason for reason in reasons]
+            failures.append((_INFEASIBLE, str(exc)))
+    planned = [k for k, failure in enumerate(failures) if failure is None]
+    rows, short = draw_samples(d_train, plans, [chunk[k][2] for k in planned], size)
+    for k, reason in zip(planned, short):
+        if reason is not None:
+            failures[k] = (_INFEASIBLE, reason)
+    drawn = [k for k in planned if failures[k] is None]
+    ones = np.count_nonzero(d_train.unfavourable[rows], axis=1)
+    two_labels = (ones != 0) & (ones != size)
+    for k, both in zip(drawn, two_labels.tolist()):
+        if not both:
+            failures[k] = (_SINGLE_LABEL, SINGLE_LABEL_TEXT)
+    return rows[two_labels], failures
 
 
 # a task's linear fit in the raw feature basis, (w_raw..., b_raw), or
@@ -695,28 +702,21 @@ def _batched_linear(
         ]
         fresh = [k for k, outcome in enumerate(outcomes) if outcome is None]
         if fresh:
-            rows, reasons = _draw_chunk(d_train, [chunk[k] for k in fresh], size)
-            ones = train_labels[rows].sum(axis=1)
-            two_labels = (ones != 0.0) & (ones != size)
-            coef = iter(fit_samples(rows[two_labels]) if two_labels.any() else ())
-            drawn = iter(two_labels.tolist())
-            for k, reason in zip(fresh, reasons):
-                if reason is not None:
-                    outcomes[k] = (_INFEASIBLE, reason)
-                elif next(drawn):
-                    outcomes[k] = next(coef)
-                else:
-                    outcomes[k] = (_SINGLE_LABEL, SINGLE_LABEL_TEXT)
+            rows, failures = _draw_chunk(d_train, [chunk[k] for k in fresh], size)
+            coef = iter(fit_samples(rows) if len(rows) else ())
+            for k, failure in zip(fresh, failures):
+                outcomes[k] = next(coef) if failure is None else failure
         failures = [o if isinstance(o, tuple) else None for o in outcomes]
         scored = [k for k, failure in enumerate(failures) if failure is None]
         fits = np.array([outcomes[k] for k in scored]).reshape(len(scored), width + 1)
-        chosen = []
-        for start in range(0, len(scored), _SWEEP_BLOCK):
-            block = fits[start : start + _SWEEP_BLOCK]
-            scores = _sigmoid_scores(eval_matrix @ block[:, :width].T + block[:, width])
-            block_tasks = scored[start : start + _SWEEP_BLOCK]
-            chosen.append(sweep.choose(scores, [chunk[k][1] for k in block_tasks]))
-        return _chunk_table(sweep, chunk, failures, chosen, fits)
+
+        def blocks() -> Iterator[tuple[list[int], np.ndarray]]:
+            for start in range(0, len(scored), _SWEEP_BLOCK):
+                block = fits[start : start + _SWEEP_BLOCK]
+                scores = _sigmoid_scores(eval_matrix @ block[:, :width].T + block[:, width])
+                yield scored[start : start + _SWEEP_BLOCK], scores
+
+        return _chunk_table(sweep, chunk, failures, blocks(), fits)
 
     return run_chunk
 
@@ -728,56 +728,36 @@ def _fitted_each(
     size: int,
     sweep: _ThresholdSweep,
 ) -> Callable[[list[Task]], _ChunkTable]:
-    """Evaluation of a chunk of tasks by fitting each sample through
-    classifiers.fit_each, which grows a chunk's forests together.
+    """Evaluation of a chunk of tasks by fitting each two-label sample
+    through classifiers.fit_each, which grows a chunk's forests together.
 
     Each model is scored on the evaluation set as soon as it is fitted
-    and dropped; its scores, checked by model_scores, are swept with up
-    to _SWEEP_BLOCK other tasks' at a time, which leaves every task's
-    choice as it is alone.
+    and dropped; its scores, checked by model_scores, go to the sweep
+    with up to _SWEEP_BLOCK other tasks' at a time. A model that fails
+    to fit or to score leaves its task a _TRAINING_ERROR.
     """
 
     def run_chunk(chunk: list[Task]) -> _ChunkTable:
-        rows, reasons = _draw_chunk(d_train, chunk, size)
-        failures: list[Failure | None] = [
-            None if reason is None else (_INFEASIBLE, reason) for reason in reasons
-        ]
-        drawn = [k for k, reason in enumerate(reasons) if reason is None]
-        ones = np.count_nonzero(d_train.unfavourable[rows], axis=1)
-        fitted, sample_rows = [], []
-        for k, sample, count in zip(drawn, rows, ones.tolist()):
-            if count in (0, size):
-                failures[k] = (_SINGLE_LABEL, SINGLE_LABEL_TEXT)
-            else:
-                fitted.append(k)
-                sample_rows.append(sample)
-        threshold = np.empty(len(chunk))
-        counts = np.empty((len(chunk), len(_COUNT_COLUMNS)), dtype=np.int64)
-        block: list[tuple[int, np.ndarray]] = []
+        rows, failures = _draw_chunk(d_train, chunk, size)
+        fitted = [k for k, failure in enumerate(failures) if failure is None]
 
-        def sweep_block() -> None:
-            tasks = [k for k, _ in block]
-            chosen = sweep.choose(
-                np.column_stack([scores for _, scores in block]), [chunk[k][1] for k in tasks]
-            )
-            threshold[tasks], counts[tasks] = chosen
-            block.clear()
+        def blocks() -> Iterator[tuple[list[int], np.ndarray]]:
+            tasks, columns = [], []
+            for i, model in fit_each(spec, (d_train.take(sample) for sample in rows)):
+                try:
+                    if isinstance(model, TrainingError):
+                        raise model
+                    columns.append(model_scores(model, d_eval))
+                    tasks.append(fitted[i])
+                except TrainingError as exc:
+                    failures[fitted[i]] = (_TRAINING_ERROR, str(exc))
+                if len(tasks) == _SWEEP_BLOCK:
+                    yield tasks, np.column_stack(columns)
+                    tasks, columns = [], []
+            if tasks:
+                yield tasks, np.column_stack(columns)
 
-        samples = (d_train.take(sample) for sample in sample_rows)
-        for i, model in fit_each(spec, samples):
-            k = fitted[i]
-            try:
-                if isinstance(model, TrainingError):
-                    raise model
-                block.append((k, model_scores(model, d_eval)))
-            except TrainingError as exc:
-                failures[k] = (_TRAINING_ERROR, str(exc))
-            if len(block) == _SWEEP_BLOCK:
-                sweep_block()
-        if block:
-            sweep_block()
-        scored = [k for k, failure in enumerate(failures) if failure is None]
-        return _chunk_table(sweep, chunk, failures, [(threshold[scored], counts[scored])])
+        return _chunk_table(sweep, chunk, failures, blocks())
 
     return run_chunk
 
@@ -793,23 +773,25 @@ def make_model_evaluator(
 ) -> Evaluator:
     """The real evaluator: sample, train, score, pick the threshold.
 
-    Tasks run in chunks of _CHUNK, and each chunk draws its samples in
-    one pass (_draw_chunk). Linear (logistic, svm) specs, numeric or
-    categorical, fit a chunk through the batched descent kernel (see
-    _batched_linear); every other kind trains each sample through
-    classifiers.fit_each, which grows a chunk's forests together (see
-    _fitted_each). A chunk returns a _ChunkTable of counts, outcome
-    codes and error indices, never point objects; evaluate builds every
-    point from its task and its table row (_chunk_points), so all paths
-    share one point builder. A call with several chunks runs them on
-    worker processes, one per usable CPU at most (_chunk_results), and
-    merges their tables in chunk order, so results depend neither on
-    the chunk size nor on the number of workers.
+    Tasks run in chunks of _CHUNK through one pipeline. _draw_chunk
+    draws a chunk's samples in one pass and turns a plan or quota that
+    does not fit, or a sample of one label, into the task's failure. The
+    route then fits the two-label samples and scores them: linear
+    (logistic, svm) specs, numeric or categorical, through the batched
+    descent kernel (_batched_linear), every other kind through
+    classifiers.fit_each, which grows a chunk's forests together
+    (_fitted_each). _chunk_table sweeps the scores a block of tasks at a
+    time and returns the chunk's _ChunkTable of counts, outcome codes
+    and error indices, never point objects; evaluate builds every point
+    from its task and its table row (_chunk_points). A call with several
+    chunks runs them on worker processes, one per usable CPU at most
+    (_chunk_results), and merges their tables in chunk order, so results
+    depend neither on the chunk size nor on the number of workers.
 
     For linear (logistic, svm) specs, keep_fits collects each task's
     fit (or failure) and reuse_fits supplies fits to re-score instead of
-    training again; a recorded fit is valid only for the same training
-    split, spec and size. Other kinds ignore both.
+    drawing and training again; a recorded fit is valid only for the
+    same training split, spec and size. Other kinds ignore both.
     """
     check_int(size, "sample size", 1)
     sweep = _ThresholdSweep(d_eval, weights)
@@ -887,6 +869,17 @@ def _emit(points: list[EvaluationPoint], sink: Sink | None) -> _Level:
     return ordered
 
 
+def _tasks(
+    cells: Iterable[tuple[tuple[int, int, int], tuple[float, ...]]], denom: int, seed: int
+) -> list[Task]:
+    """The task of each (fine-lattice cell, thresholds): the cell's
+    knobs, its thresholds and the sampling seed of its coordinates."""
+    return [
+        (BalanceParams(a / denom, b / denom, g / denom), thresholds, point_seed(seed, a, b, g))
+        for (a, b, g), thresholds in cells
+    ]
+
+
 def grid_search_level0(
     d_train: Dataset,
     d_eval: Dataset,
@@ -909,14 +902,8 @@ def grid_search_level0(
         evaluate = make_model_evaluator(d_train, d_eval, spec, grid.weights, size)
     ratio = grid.fine_denominator // grid.coarse_denominator
     axis = [i * ratio for i in range(grid.coarse_denominator + 1)]
-    denom = grid.fine_denominator
-    tasks: list[Task] = []
-    for ai in axis:
-        for bi in axis:
-            for gi in axis:
-                params = BalanceParams(ai / denom, bi / denom, gi / denom)
-                tasks.append((params, grid.thresholds, point_seed(seed, ai, bi, gi)))
-    return _emit(evaluate(tasks), sink)
+    cells = ((cell, grid.thresholds) for cell in itertools.product(axis, repeat=3))
+    return _emit(evaluate(_tasks(cells, grid.fine_denominator, seed)), sink)
 
 
 def _refined_thresholds(center: float, grid: GridSpec) -> tuple[float, ...]:
@@ -972,11 +959,7 @@ def grid_search_level1(
         for point in itertools.product(*spans):
             held = wanted.get(point, thresholds)
             wanted[point] = held if held == thresholds else tuple(sorted({*held, *thresholds}))
-    tasks: list[Task] = []
-    for (ai, bi, gi), thresholds in sorted(wanted.items()):
-        params = BalanceParams(ai / denom, bi / denom, gi / denom)
-        tasks.append((params, thresholds, point_seed(seed, ai, bi, gi)))
-    return _emit(evaluate(tasks), sink)
+    return _emit(evaluate(_tasks(sorted(wanted.items()), denom, seed)), sink)
 
 
 # ---------------------------------------------------------------------------

@@ -870,6 +870,9 @@ def first_entry(state, drop=None, **changes):
             id="bool_spec_seed",
         ),
         pytest.param(lambda s: first_entry(s, spec={"kind": ["x"]}), "kind", id="list_kind"),
+        pytest.param(
+            lambda s: {"classifiers": s["classifiers"]}, "no search config", id="missing_config"
+        ),
     ],
 )
 def test_report_malformed_results_are_input_errors(search_run, tmp_path, damage, fragment):
@@ -901,6 +904,59 @@ def test_report_schema_mismatch_is_an_input_error(search_run, tmp_path):
         main, ["report", "--config", cfg, "--out", str(out), "--test", str(broken)]
     )
     assert result.exit_code == 3
+
+
+@pytest.mark.parametrize(
+    "key,flags,changes",
+    [
+        pytest.param("seed", ["--seed", "12"], {}, id="seed_flag"),
+        pytest.param("split", [], {"split": {"fractions": [0.6, 0.2, 0.2], "seed": 5}}, id="split_seed"),
+        pytest.param(
+            "dataset",
+            [],
+            {"dataset": {"synthetic": {"quadrants": [520, 60, 130, 41], "bias": 1.0, "noise": 1.0}}},
+            id="quadrants",
+        ),
+    ],
+)
+def test_report_refuses_a_search_of_other_data(search_run, tmp_path, key, flags, changes):
+    # the stored seed and size pin a sample of the searched training
+    # split; another dataset, split or seed would train another model
+    cfg, out, _ = search_run
+    report_out = tmp_path / "report_out"
+    with open(cfg) as fh:
+        data = dict(yaml.safe_load(fh), out=str(report_out), **changes)
+    changed = write_config(tmp_path / "changed.yaml", yaml.safe_dump(data))
+    test_csv = tmp_path / "t.csv"
+    write_csv(generate_synthetic(SyntheticSpec(quadrants=(20, 10, 10, 10)), seed=1), str(test_csv))
+    result = runner.invoke(
+        main,
+        [
+            "report", "--config", changed, *flags,
+            "--results", str(out / "search_state.json"), "--test", str(test_csv),
+        ],
+    )
+    assert result.exit_code == 3, result.output
+    assert f"another {key} " in result.output
+    assert not report_out.exists()  # rejected before any work
+
+
+@pytest.mark.parametrize("kind", ["empty", "file"])
+def test_a_bad_out_flag_is_a_config_error(tmp_path, kind):
+    cfg = small_synthetic_config(tmp_path, out=tmp_path / "from_config")
+    out = ""
+    if kind == "file":
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        out = str(taken)
+    result = runner.invoke(
+        main, ["plan", "--config", cfg, "--out", out, "--preset", "double-balanced"]
+    )
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert repr(out) in result.output
+    assert not (tmp_path / "from_config").exists()
 
 
 def test_search_with_only_degenerate_classifier_warns_and_fails(tmp_path):

@@ -787,9 +787,13 @@ def test_model_evaluator_chunk_size_is_only_a_memory_knob(corpus, monkeypatch):
     # block boundary
     tasks = [t for s in range(21, 31) for t in model_tasks(global_seed=s)]
     assert len(tasks) > search_mod._SWEEP_BLOCK
+    # every route: the batched linear fit (logistic, svm) and fit_each
+    # (forests grown together, naive Bayes one at a time)
     specs = [
         ClassifierSpec(kind="logistic", params={}),
+        ClassifierSpec(kind="svm", params={}),
         ClassifierSpec(kind="forest", params={"n_trees": 4}, seed=3),
+        ClassifierSpec(kind="naive_bayes", params={}),
     ]
     for spec in specs:
         baseline = make_model_evaluator(d_train, d_eval, spec, WEIGHTS, SIZE)(tasks)
