@@ -99,6 +99,16 @@ def as_float_matrix(X: Any, name: str = "X") -> np.ndarray:
     return arr
 
 
+def as_fitted_matrix(X: Any, columns: int, name: str = "X") -> np.ndarray:
+    """as_float_matrix, with the column count the model was fitted on."""
+    arr = as_float_matrix(X, name)
+    if arr.shape[1] != columns:
+        raise InputError(
+            f"{name} has {arr.shape[1]} columns, but the model was fitted on {columns}"
+        )
+    return arr
+
+
 def as_label_vector(y: Any, n_rows: int, name: str = "y") -> np.ndarray:
     """Coerce to a 1-D 0/1 float vector of the expected length."""
     arr = np.asarray(y, dtype=float).ravel()

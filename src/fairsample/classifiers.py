@@ -25,6 +25,7 @@ import numpy as np
 from .base import (
     InputError,
     TrainingError,
+    as_fitted_matrix,
     as_float_matrix,
     as_label_vector,
     check_fitted,
@@ -179,11 +180,12 @@ class _GradientDescent:
         self.coef_ = w[0]
         self.intercept_ = float(b[0])
         self.n_iter_ = int(its[0])
+        self.n_columns_ = x.shape[1]
         return self
 
     def decision_function(self, x: np.ndarray) -> np.ndarray:
         check_fitted(self, "coef_")
-        return as_float_matrix(x) @ self.coef_ + self.intercept_
+        return as_fitted_matrix(x, self.n_columns_) @ self.coef_ + self.intercept_
 
     def predict_scores(self, x: np.ndarray) -> np.ndarray:
         return _sigmoid(self.decision_function(x))
@@ -239,6 +241,7 @@ class GaussianNaiveBayes:
         x = as_float_matrix(x)
         y = as_label_vector(y, len(x))
         _require_two_classes(y)
+        self.n_columns_ = x.shape[1]
         covered = set()
         for start, stop in self.categorical_blocks:
             covered.update(range(start, stop))
@@ -268,7 +271,7 @@ class GaussianNaiveBayes:
 
     def _joint_log_likelihood(self, x: np.ndarray) -> np.ndarray:
         check_fitted(self, "log_priors_")
-        x = as_float_matrix(x)
+        x = as_fitted_matrix(x, self.n_columns_)
         jll = np.tile(self.log_priors_, (len(x), 1))
         if self.gaussian_cols_:
             sub = x[:, self.gaussian_cols_]
@@ -305,19 +308,79 @@ _GROUP = 64
 _STEP_ROWS = 1 << 14
 
 
-class _Tree:
-    """A tree in growth: its generator and depth limit, its nodes so far
-    as a flat float array of [feature, threshold, left, right, label]
-    rows, and a stack of nodes still to grow, each (start, stop, ones,
-    depth, parent, side): the node's rows are order[start:stop] of its
-    group, ones of them labelled 1, and its index goes to column side
-    (2 left, 3 right) of its parent's row."""
+def _choice_bounds(width: int, size: int) -> tuple[int, ...]:
+    """The exclusive bounds of the draws Generator.choice(width, size,
+    replace=False) makes, in order: Floyd's steps j = width - size, ...,
+    width - 1 (Bentley & Floyd, CACM 1987), each in [0, j], where j = 0
+    draws nothing; then its shuffle's draws in [0, i] for i = size - 1,
+    ..., 1. numpy takes another branch, a tail shuffle, when width >
+    10,000 and size > width // 50; a forest's size is int(sqrt(width)),
+    which exceeds width // 50 only below width 2,500, so that branch
+    never runs here."""
+    floyd = [j + 1 for j in range(width - size, width) if j > 0]
+    return tuple(floyd + [i + 1 for i in range(size - 1, 0, -1)])
 
-    __slots__ = ("rng", "max_depth", "nodes", "stack")
+
+class _Tree:
+    """A tree in growth: its generator and depth limit, the deepest
+    depth it has reached, its nodes so far as a flat float array of
+    [feature, threshold, left, right, label] rows, and a stack of nodes
+    still to grow, each (start, stop, ones, depth, parent, side): the
+    node's rows are order[start:stop] of its group, ones of them
+    labelled 1, and its index goes to column side (2 left, 3 right) of
+    its parent's row.
+
+    After its bootstrap, the generator serves only the tree's candidate
+    draws (candidates), which read its 32-bit stream, bits[at:], drawn
+    in bulk with random_raw. That stream is numpy's next_uint32: the
+    half-word the bootstrap left buffered, if any, then each 64-bit
+    word's low half and then its high half."""
+
+    __slots__ = ("rng", "bits", "at", "max_depth", "depth", "nodes", "stack")
 
     def __init__(self, rng, max_depth, root):
         self.rng, self.max_depth, self.stack = rng, max_depth, [root]
+        self.depth = 0
         self.nodes = array.array("d")
+        state = rng.bit_generator.state
+        self.bits, self.at = [state["uinteger"]] if state["has_uint32"] else [], 0
+
+    def _refill(self, need: int) -> None:
+        """At least need more half-words at bits[at:], and 64 to spare,
+        so that a tree fetches its stream in a few calls."""
+        words = self.rng.bit_generator.random_raw(32 + need // 2)
+        self.bits = self.bits[self.at :] + np.asarray(words, dtype="<u8").view("<u4").tolist()
+        self.at = 0
+
+    def candidates(self, width: int, size: int, bounds: tuple[int, ...]) -> list[int]:
+        """sorted(self.rng.choice(width, size, replace=False)), replayed
+        on the stream with bounds = _choice_bounds(width, size): each
+        draw in [0, r) is Lemire's (ACM TOMACS 2019), (u * r) >> 32 for
+        the next half-word u, redrawn while the low 32 bits of u * r fall
+        below 2**32 % r. The shuffle's draws are made only to be used
+        up, since the set is what the grower keeps."""
+        if len(self.bits) - self.at < len(bounds):
+            self._refill(len(bounds))
+        bits, at = self.bits, self.at
+        values = []
+        for r in bounds:
+            m = bits[at] * r
+            at += 1
+            if m & 0xFFFFFFFF < r:  # rarely, a draw to reject
+                while m & 0xFFFFFFFF < 0x100000000 % r:
+                    if at == len(bits):
+                        self.at = at
+                        self._refill(1)
+                        bits, at = self.bits, 0
+                    m = bits[at] * r
+                    at += 1
+            values.append(m >> 32)
+        self.at = at
+        first = width - size
+        chosen = {0} if first == 0 else set()
+        for j, value in zip(range(max(first, 1), width), values):
+            chosen.add(j if value in chosen else value)
+        return sorted(chosen)
 
 
 def _grow_group(x, y, order, trees, per_split) -> None:
@@ -327,9 +390,9 @@ def _grow_group(x, y, order, trees, per_split) -> None:
 
     Each step advances every tree depth-first, left before right, past
     its leaves to its next node that may split, so each tree numbers its
-    nodes and draws its candidate features exactly as when grown alone,
-    and scores those nodes together, largest first, in calls of at most
-    _STEP_ROWS padded rows. In a call, the nodes' candidate columns,
+    nodes and draws its candidate features (_Tree.candidates) exactly as
+    when grown alone, and scores those nodes together, largest first, in
+    calls of at most _STEP_ROWS padded rows. In a call, the nodes' candidate columns,
     padded with the sentinel to the largest node, are sorted together,
     and cumulative label counts score every boundary (CART; Louppe,
     arXiv:1407.7502, ch. 5) as len/n * 2p(1 - p), left plus right, with
@@ -341,6 +404,7 @@ def _grow_group(x, y, order, trees, per_split) -> None:
     itself, so a row that reaches it stays there.
     """
     width = x.shape[1]
+    bounds = _choice_bounds(width, per_split)
     live = list(trees)
     while live:
         batch = []
@@ -351,10 +415,12 @@ def _grow_group(x, y, order, trees, per_split) -> None:
                 index = len(nodes) // 5
                 if parent >= 0:
                     nodes[5 * parent + side] = index
+                    if depth > tree.depth:
+                        tree.depth = depth
                 nodes.extend((-1, 0.0, index, index, 1.0 if ones * 2 > stop - start else 0.0))
                 if depth < tree.max_depth and 0 < ones < stop - start:
-                    candidates = tree.rng.choice(width, size=per_split, replace=False)
-                    batch.append((tree, index, start, stop, ones, depth, sorted(candidates.tolist())))
+                    candidates = tree.candidates(width, per_split, bounds)
+                    batch.append((tree, index, start, stop, ones, depth, candidates))
                     break
         batch.sort(key=lambda node: node[2] - node[3])  # largest first
         while batch:
@@ -429,10 +495,12 @@ def grow_forests(jobs: Iterable[tuple["RandomForest", np.ndarray, np.ndarray]]) 
     Trees grow in groups of at most _GROUP that share one width, so a
     forest whose trees span groups is fitted when the last of them ends.
     Each tree has its own generator (Breiman, Mach. Learn. 2001), which
-    draws its bootstrap when its group starts, so the trees are those
-    grown one at a time. Jobs are read as the groups fill: the inputs
-    held are those of the trees not yet grown, at most _GROUP - 1 trees'
-    worth a width, besides the growing group's.
+    draws its bootstrap when its group starts and then serves only that
+    tree's candidate draws, so the trees are those grown one at a time;
+    each records the depth it reached, for the fitted forest's walk.
+    Jobs are read as the groups fill: the inputs held are those of the
+    trees not yet grown, at most _GROUP - 1 trees' worth a width,
+    besides the growing group's.
     """
     forests, inputs, trees = [], [], []
     queues: dict[int, list[tuple[int, int]]] = {}
@@ -460,13 +528,15 @@ def grow_forests(jobs: Iterable[tuple["RandomForest", np.ndarray, np.ndarray]]) 
         _grow_group(x, y, order, grown, max(1, int(np.sqrt(width))))
         for position in members:
             if None not in trees[position]:
-                forests[position]._set_nodes(trees[position])
+                forests[position]._set_nodes(trees[position], width)
                 inputs[position] = trees[position] = None
                 yield position
 
     for position, (forest, x, y) in enumerate(jobs):
         forest._check_params()
         x = as_float_matrix(x)
+        if not x.shape[1]:
+            raise InputError("X has no columns")
         y = as_label_vector(y, len(x))
         _require_two_classes(y)
         if (forest.seed, forest.n_trees) not in spawned:
@@ -489,8 +559,9 @@ class RandomForest:
     """Bagged decision trees; the score is the fraction of trees voting
     for the unfavourable class, so it is always a multiple of 1/n_trees.
     Fitted trees are flat: node arrays feature_, threshold_, left_,
-    right_ and label_ hold every tree in turn; roots_ indexes each. fit
-    is grow_forests with this forest alone."""
+    right_ and label_ hold every tree in turn, in pre-order, with a leaf
+    at feature -1 pointing to itself; roots_ indexes each tree. fit is
+    grow_forests with this forest alone."""
 
     def __init__(self, n_trees: int = 100, max_depth: int = 12, seed: int = 0):
         self.n_trees = n_trees
@@ -508,8 +579,15 @@ class RandomForest:
             pass
         return self
 
-    def _set_nodes(self, trees: list[_Tree]) -> None:
-        """Flatten grown trees into the node arrays, tree after tree."""
+    def _set_nodes(self, trees: list[_Tree], width: int) -> None:
+        """Flatten grown trees of width-column inputs into the node
+        arrays, tree after tree, and derive the walk's own arrays: a
+        leaf's feature is 0 and its threshold +inf, so a row at a leaf
+        stays there, and the children are one flat (node, side) table.
+        The walk starts at the roots, deepest tree first, and takes as
+        many levels as the deepest tree has, level l only through the
+        _walk_widths[l] trees deeper than l; the grower records each
+        tree's depth."""
         sizes = [len(tree.nodes) // 5 for tree in trees]
         starts = np.cumsum([0] + sizes[:-1])
         table = np.concatenate([np.frombuffer(tree.nodes) for tree in trees]).reshape(-1, 5)
@@ -517,19 +595,33 @@ class RandomForest:
         self.roots_ = starts
         self.feature_, self.left_, self.right_ = table[:, [0, 2, 3]].T.astype(int)
         self.threshold_, self.label_ = table[:, 1], table[:, 4]
+        self.n_columns_ = width
+        leaf = self.feature_ < 0
+        self._walk_feature = np.where(leaf, 0, self.feature_)
+        self._walk_threshold = np.where(leaf, np.inf, self.threshold_)
+        self._child = table[:, 2:4].astype(np.intp).ravel()
+        depths = np.array([tree.depth for tree in trees])
+        order = np.argsort(-depths, kind="stable")
+        self._walk_roots = starts[order]
+        self._walk_widths = tuple(np.count_nonzero(depths > level) for level in range(depths.max()))
 
     def predict_scores(self, x: np.ndarray) -> np.ndarray:
         check_fitted(self, "roots_")
-        x = as_float_matrix(x)
-        # walk every (row, tree) cell down one level at a time to its leaf
-        flat, row_start = x.ravel(), np.arange(len(x))[:, None] * x.shape[1]
-        node = np.broadcast_to(self.roots_, (len(x), len(self.roots_)))
-        feature = self.feature_[node]
-        while (feature >= 0).any():
-            go_left = flat[row_start + feature] <= self.threshold_[node]
-            node = np.where(go_left, self.left_[node], self.right_[node])
-            feature = self.feature_[node]
-        return self.label_[node].sum(axis=1) / self.n_trees
+        x = as_fitted_matrix(x, self.n_columns_)
+        # walk every (tree, row) cell down one level at a time: x <= t
+        # goes left (side 0); inputs are finite, so a leaf's +inf
+        # threshold keeps its cells where they are. The trees still
+        # walking are a prefix of the rows of node, so no cell is moved.
+        flat, row_start = x.ravel(), np.arange(len(x)) * x.shape[1]
+        feature, threshold, child = self._walk_feature, self._walk_threshold, self._child
+        node = np.repeat(self._walk_roots[:, None], len(x), axis=1)
+        for trees in self._walk_widths:
+            live = node[:trees]
+            right = flat.take(row_start + feature.take(live)) > threshold.take(live)
+            # clip mode writes in place; every index is a node already
+            child.take(2 * live + right, out=live, mode="clip")
+        # the votes are 0s and 1s, so their sum is exact in any order
+        return self.label_.take(node).sum(axis=0) / self.n_trees
 
 
 # ---------------------------------------------------------------------------
@@ -644,16 +736,15 @@ def fit_each(
         models[position] = None
 
 
-def model_scores(model, d: Dataset) -> np.ndarray:
-    """model.predict_scores(d), checked: a float vector of one score a
-    row of d, each finite and in [0, 1]. Any other output raises
-    TrainingError naming the model's kind and the fault, so a threshold
-    never meets a score it cannot order."""
-    kind = getattr(getattr(model, "spec", None), "kind", type(model).__name__)
-    scores = np.asarray(model.predict_scores(d))
+def checked_scores(kind: str, scores: Any, rows: int) -> np.ndarray:
+    """A kind of model's scores of rows rows, checked: a float vector of
+    one score a row, each finite and in [0, 1]. Any other output raises
+    TrainingError naming the kind and the fault, so a threshold never
+    meets a score it cannot order."""
+    scores = np.asarray(scores)
     fault = None
-    if scores.shape != (len(d),):
-        fault = f"shape {scores.shape}, expected ({len(d)},)"
+    if scores.shape != (rows,):
+        fault = f"shape {scores.shape}, expected ({rows},)"
     elif not np.issubdtype(scores.dtype, np.floating):
         fault = f"dtype {scores.dtype}, expected floats"
     elif not np.isfinite(scores).all():
@@ -670,10 +761,11 @@ def predict_labels(model, d: Dataset, threshold: float) -> GroupedPredictions:
 
     A row is called unfavourable when its score reaches the threshold.
     Works for any object with predict_scores(dataset) whose scores pass
-    model_scores.
+    checked_scores, under the kind of its spec or else its type's name.
     """
     check_number(threshold, "threshold", 0.0, 1.0, "()")
-    scores = model_scores(model, d)
+    kind = getattr(getattr(model, "spec", None), "kind", type(model).__name__)
+    scores = checked_scores(kind, model.predict_scores(d), len(d))
     return GroupedPredictions(
         privileged=d.privileged,
         actual=d.unfavourable,

@@ -516,13 +516,37 @@ class FeaturePipeline:
         )
 
     def transform(self, d: Dataset) -> np.ndarray:
-        out = self.encode(d)
+        return self.standardise(self.encode(d))
+
+    def standardise(self, encoded: np.ndarray) -> np.ndarray:
+        """Centre and scale, in place, the numeric columns of a matrix
+        laid out as encode's; returns it."""
+        check_fitted(self, "blocks_")
         for block in self.blocks_:
             if block.kind == "numeric":
-                out[:, block.start] = (
-                    out[:, block.start] - self.means_[block.name]
+                encoded[:, block.start] = (
+                    encoded[:, block.start] - self.means_[block.name]
                 ) / self.scales_[block.name]
-        return out
+        return encoded
+
+    def columns_in(self, wider: "FeaturePipeline") -> list[int]:
+        """The columns of wider.encode(d) that make up encode(d), for a
+        pipeline wider fitted on the same features with every category
+        this one has, such as one fitted on a superset of its rows.
+        Categories are sorted, so each one-hot block is wider's block
+        restricted to this pipeline's categories."""
+        check_fitted(self, "blocks_")
+        if wider.features_ != self.features_:
+            raise SchemaError("pipelines are fitted on different features")
+        blocks = {b.name: b for b in wider.blocks_}
+        columns: list[int] = []
+        for block in self.blocks_:
+            outer = blocks[block.name]
+            if block.kind == "numeric":
+                columns.append(outer.start)
+            else:
+                columns.extend(outer.start + outer.categories.index(c) for c in block.categories)
+        return columns
 
     def categorical_blocks(self) -> tuple[tuple[int, int], ...]:
         """(start, stop) column ranges of the one-hot blocks."""

@@ -55,9 +55,9 @@ from .classifiers import (
     _GradientDescent,
     _sigmoid as _sigmoid_scores,
     build_estimator,
+    checked_scores,
     fit_each,
     fit_logistic_batch,
-    model_scores,
 )
 from .dataset import Dataset, FeaturePipeline, quadrant_counts
 from .metrics import (
@@ -721,6 +721,25 @@ def _batched_linear(
     return run_chunk
 
 
+def _eval_matrices(d_train: Dataset, d_eval: Dataset) -> Callable[[FeaturePipeline], np.ndarray]:
+    """A function from a pipeline fitted on a sample of d_train to its
+    transform of d_eval, bit for bit, from one encoding of d_eval.
+
+    d_eval is encoded once with the training split's pipeline, as in
+    _batched_linear. A sample's categories are a sorted subset of the
+    split's, so the columns of its own categories are its own one-hot
+    blocks (FeaturePipeline.columns_in), and its numeric columns are
+    standardised by transform's own expression (standardise).
+    """
+    split = FeaturePipeline().fit(d_train)
+    encoded = split.encode(d_eval)
+
+    def transform(pipeline: FeaturePipeline) -> np.ndarray:
+        return pipeline.standardise(encoded.take(pipeline.columns_in(split), axis=1))
+
+    return transform
+
+
 def _fitted_each(
     d_train: Dataset,
     d_eval: Dataset,
@@ -731,11 +750,14 @@ def _fitted_each(
     """Evaluation of a chunk of tasks by fitting each two-label sample
     through classifiers.fit_each, which grows a chunk's forests together.
 
-    Each model is scored on the evaluation set as soon as it is fitted
-    and dropped; its scores, checked by model_scores, go to the sweep
-    with up to _SWEEP_BLOCK other tasks' at a time. A model that fails
-    to fit or to score leaves its task a _TRAINING_ERROR.
+    Each model is scored as soon as it is fitted, and dropped: its
+    estimator scores its pipeline's matrix of the evaluation set, built
+    by _eval_matrices from one encoding of that set. Its scores, checked
+    by checked_scores, go to the sweep with up to _SWEEP_BLOCK other
+    tasks' at a time. A model that fails to fit or to score leaves its
+    task a _TRAINING_ERROR.
     """
+    eval_matrix = _eval_matrices(d_train, d_eval)
 
     def run_chunk(chunk: list[Task]) -> _ChunkTable:
         rows, failures = _draw_chunk(d_train, chunk, size)
@@ -747,7 +769,8 @@ def _fitted_each(
                 try:
                     if isinstance(model, TrainingError):
                         raise model
-                    columns.append(model_scores(model, d_eval))
+                    x = eval_matrix(model.pipeline)
+                    columns.append(checked_scores(spec.kind, model.estimator.predict_scores(x), len(x)))
                     tasks.append(fitted[i])
                 except TrainingError as exc:
                     failures[fitted[i]] = (_TRAINING_ERROR, str(exc))

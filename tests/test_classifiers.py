@@ -477,6 +477,162 @@ def test_forest_matches_quadratic_oracle(x, y, depth):
 
 
 # ---------------------------------------------------------------------------
+# candidate draws: Generator.choice replayed on the tree's raw stream
+
+CHOICE_PAIRS = [(width, size) for width in range(1, 41) for size in range(1, width + 1)]
+
+
+def replay_tree(rng):
+    return classifiers_mod._Tree(rng, 12, None)
+
+
+def test_candidate_draws_replay_generator_choice():
+    # 200 seeds; each generator, after a bootstrap of even or odd
+    # length, draws every (width, size) pair of widths 1-40 in turn,
+    # from a seed-rotated start, so each pair is checked at 200 stream
+    # positions
+    buffered = set()
+    for seed in range(200):
+        rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        n = (2, 3, 4, 5, 86, 87)[seed % 6]
+        assert np.array_equal(rng.integers(0, n, size=n), reference.integers(0, n, size=n))
+        buffered.add(rng.bit_generator.state["has_uint32"])
+        tree = replay_tree(rng)
+        start = 7 * seed % len(CHOICE_PAIRS)
+        for width, size in CHOICE_PAIRS[start:] + CHOICE_PAIRS[:start]:
+            got = tree.candidates(width, size, classifiers_mod._choice_bounds(width, size))
+            want = reference.choice(width, size=size, replace=False)
+            assert got == sorted(want.tolist()), (seed, width, size)
+    # odd bootstraps leave half a word buffered, even ones do not
+    assert buffered == {0, 1}
+
+
+@pytest.mark.parametrize("width,size", [(3, 1), (9, 3), (40, 6), (2, 2), (17, 17)])
+def test_candidate_draws_reject_as_lemire_does(width, size):
+    # a buffered half-word of 0 gives u * r a low half of 0, below
+    # 2**32 % r for every r but a power of two, so numpy draws again
+    for seed in range(20):
+        rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        for generator in (rng, reference):
+            state = generator.bit_generator.state
+            state.update(has_uint32=1, uinteger=0)
+            generator.bit_generator.state = state
+        tree = replay_tree(rng)
+        bounds = classifiers_mod._choice_bounds(width, size)
+        for _ in range(3):
+            want = sorted(reference.choice(width, size=size, replace=False).tolist())
+            assert tree.candidates(width, size, bounds) == want
+
+
+def test_grower_draws_no_candidates_through_choice(monkeypatch):
+    x, y = np.random.default_rng(3).normal(size=(40, 9)), np.arange(40) % 2
+    want = RandomForest(n_trees=3, seed=1).fit(x, y)
+    make = np.random.default_rng
+
+    class WithoutChoice:
+        """A tree's generator, less choice."""
+
+        def __init__(self, seed):
+            generator = make(seed)
+            self.bit_generator, self.integers = generator.bit_generator, generator.integers
+
+    monkeypatch.setattr(np.random, "default_rng", WithoutChoice)
+    got = RandomForest(n_trees=3, seed=1).fit(x, y)
+    for a, b in zip(forest_arrays(want), forest_arrays(got)):
+        assert a.tolist() == b.tolist()
+
+
+# ---------------------------------------------------------------------------
+# the walk at its edges
+
+
+def reference_walk(forest, x):
+    """Each (row, tree) down the public node arrays, x <= t going left."""
+    votes = np.zeros(len(x))
+    for i, row in enumerate(x):
+        for root in forest.roots_:
+            node = root
+            while forest.feature_[node] >= 0:
+                left = row[forest.feature_[node]] <= forest.threshold_[node]
+                node = forest.left_[node] if left else forest.right_[node]
+            votes[i] += forest.label_[node]
+    return votes / forest.n_trees
+
+
+def tree_depths(forest):
+    ends = list(forest.roots_[1:]) + [len(forest.feature_)]
+    depths = []
+    for root, end in zip(forest.roots_, ends):
+        depth = {root: 0}
+        for node in range(root, end):
+            if forest.feature_[node] >= 0:
+                for child in (forest.left_[node], forest.right_[node]):
+                    depth[child] = depth[node] + 1
+        depths.append(max(depth.values()))
+    return depths
+
+
+def test_a_row_at_a_split_threshold_goes_left():
+    # one-stump forests: a row at the threshold scores the left leaf, a
+    # row one float above it the right leaf
+    rng = np.random.default_rng(41)
+    x = rng.normal(size=(60, 3))
+    y = (x[:, 0] > 0.1).astype(float)
+    differ = 0
+    for seed in range(8):
+        stump = RandomForest(n_trees=1, max_depth=1, seed=seed).fit(x, y)
+        feature, threshold = stump.feature_[0], stump.threshold_[0]
+        assert feature >= 0
+        rows = np.zeros((2, 3))
+        rows[:, feature] = threshold, np.nextafter(threshold, np.inf)
+        want = stump.label_[[stump.left_[0], stump.right_[0]]]
+        assert stump.predict_scores(rows).tolist() == want.tolist()
+        differ += want[0] != want[1]
+    assert differ
+
+
+def test_a_depth_zero_forest_walks_no_level():
+    x = np.random.default_rng(42).normal(size=(30, 2))
+    y = (np.arange(30) % 3 == 0).astype(float)
+    forest = RandomForest(n_trees=4, max_depth=0, seed=5).fit(x, y)
+    assert forest._walk_widths == ()
+    assert (forest.feature_ == -1).all() and forest.roots_.tolist() == [0, 1, 2, 3]
+    probe = np.random.default_rng(43).normal(size=(7, 2))
+    assert np.array_equal(forest.predict_scores(probe), np.full(7, forest.label_.mean()))
+
+
+def test_trees_of_different_depths_share_one_walk():
+    rng = np.random.default_rng(44)
+    x = np.round(rng.normal(size=(50, 4)), 1)
+    y = (x[:, 0] + 0.7 * rng.normal(size=50) > 0.2).astype(float)
+    forest = RandomForest(n_trees=12, max_depth=12, seed=6).fit(x, y)
+    depths = tree_depths(forest)
+    assert len(set(depths)) > 2
+    # level l walks the trees deeper than l, deepest first
+    assert list(forest._walk_widths) == [sum(d > level for d in depths) for level in range(max(depths))]
+    assert [depths[t] for t in np.searchsorted(forest.roots_, forest._walk_roots)] == sorted(depths)[::-1]
+    probe = np.vstack([x, np.round(rng.normal(size=(40, 4)), 1)])
+    assert np.array_equal(forest.predict_scores(probe), reference_walk(forest, probe))
+
+
+# ---------------------------------------------------------------------------
+# an estimator scores only matrices of its own width
+
+
+@pytest.mark.parametrize("kind", ["logistic", "svm", "naive_bayes", "forest"])
+def test_estimators_refuse_a_matrix_of_another_width(kind):
+    rng = np.random.default_rng(45)
+    x = rng.normal(size=(40, 4))
+    y = (x[:, 0] > 0).astype(float)
+    estimator = build_estimator(ClassifierSpec(kind, {"n_trees": 3} if kind == "forest" else {}))
+    estimator.fit(x, y)
+    assert estimator.predict_scores(rng.normal(size=(5, 4))).shape == (5,)
+    for width in (6, 3):
+        with pytest.raises(InputError, match=rf"{width} columns, but the model was fitted on 4"):
+            estimator.predict_scores(rng.normal(size=(5, width)))
+
+
+# ---------------------------------------------------------------------------
 # forests grown together: every tree as grown alone, memory bounded by
 # the group
 
@@ -605,6 +761,8 @@ def test_forest_rejects_bad_params():
     forest.n_trees = 0
     with pytest.raises(InputError, match="n_trees"):
         forest.fit(np.zeros((2, 1)), np.array([0.0, 1.0]))
+    with pytest.raises(InputError, match="no columns"):
+        RandomForest().fit(np.zeros((2, 0)), np.array([0.0, 1.0]))
 
 
 def test_single_label_training_error():

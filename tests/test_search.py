@@ -780,6 +780,42 @@ def test_model_evaluator_generic_kind_matches_reference():
                 assert point.classifier_kind == spec.kind
 
 
+def region_only(d):
+    """d with the region feature alone: a categorical-only schema."""
+    schema = Schema(
+        features=(FeatureSpec("region", "categorical"),), label="y", favourable="0",
+        unfavourable="1", sensitive="group", privileged_value="p",
+    )
+    return Dataset(
+        schema=schema,
+        columns={"region": d.columns["region"]},
+        unfavourable=d.unfavourable,
+        privileged=d.privileged,
+        row_ids=d.row_ids,
+    )
+
+
+ENCODING_CORPORA = {**CORPORA, "categorical_only": (region_only(CAT_TRAIN), region_only(CAT_EVAL))}
+
+
+@pytest.mark.parametrize("corpus", sorted(ENCODING_CORPORA))
+def test_eval_matrix_is_each_samples_own_transform(corpus):
+    # samples that miss the rare training value "c" (as mixed-csv's
+    # kiosk) have one one-hot column fewer; "z" is never seen in training
+    d_train, d_eval = ENCODING_CORPORA[corpus]
+    eval_matrix = search_mod._eval_matrices(d_train, d_eval)
+    counts = quadrant_counts(d_train)
+    widths = set()
+    for params, _, seed in model_tasks() + model_tasks(global_seed=4):
+        sample = materialize_sample(d_train, compute_plan(counts, params), SIZE, seed)
+        pipeline = FeaturePipeline().fit(sample)
+        want, got = pipeline.transform(d_eval), eval_matrix(pipeline)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        widths.add(got.shape[1])
+    assert len(widths) == (1 if corpus == "numeric" else 2)
+
+
 @pytest.mark.parametrize("corpus", sorted(CORPORA))
 def test_model_evaluator_chunk_size_is_only_a_memory_knob(corpus, monkeypatch):
     d_train, d_eval = CORPORA[corpus]
@@ -1139,6 +1175,7 @@ BUILD_SPECS = {
     "logistic": LOGISTIC,
     "svm": ClassifierSpec(kind="svm", params={}),
     "forest": ClassifierSpec(kind="forest", params={"n_trees": 4}, seed=3),
+    "naive_bayes": ClassifierSpec(kind="naive_bayes", params={}),
     "refusing": ClassifierSpec(kind="refusing_for_search_tests", params={}),
 }
 
