@@ -15,6 +15,7 @@ tolerance games.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -139,15 +140,31 @@ def _exact_targets(
     )
 
 
-def _exact_ratios(
-    c: QuadrantCounts, params: BalanceParams
-) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
-    """Returns ((P', F', A', F'_p, F'_up), (r_p_f, r_p_uf, r_up_f, r_up_uf))."""
+def _reduced(x: tuple[int, int]) -> tuple[int, int]:
+    g = math.gcd(*x)
+    return (x[0] // g, x[1] // g)
+
+
+def _group_parts(c: QuadrantCounts, alpha: float, gamma: float) -> tuple[tuple[int, int], ...]:
+    """(P', 1 - P', A'/d, 1/d) with d = (1 - P') + A' P', reduced: the
+    plan's parts that depend only on (alpha, gamma). d > 0 because
+    A' > 0 and 0 < P' < 1."""
     one = (1, 1)
-    P, F, A = _exact_targets(c, params)
-    denom = _radd(_rsub(one, P), _rmul(A, P))  # > 0 because A > 0, 0 < P < 1
-    f_up = _rdiv(F, denom)
-    f_p = _rmul(A, f_up)
+    P = _moved((c.privileged, c.total), (1, 2), alpha)
+    A = _moved((c.p_f * c.unprivileged, c.privileged * c.up_f), (1, 1), gamma)
+    Q = _rsub(one, P)
+    d = _radd(Q, _rmul(A, P))
+    return _reduced(P), _reduced(Q), _reduced(_rdiv(A, d)), _reduced(_rdiv(one, d))
+
+
+def _ratios_from(
+    parts: tuple[tuple[int, int], ...], F: tuple[int, int]
+) -> tuple[tuple[int, int], tuple[int, int], tuple[tuple[int, int], ...]]:
+    """(F'_p, F'_up, (r_p_f, r_p_uf, r_up_f, r_up_uf)) from _group_parts
+    and the favourable-share target F': F'_p = F' A'/d, F'_up = F'/d."""
+    P, Q, a_over_d, over_d = parts
+    f_p = _rmul(F, a_over_d)
+    f_up = _rmul(F, over_d)
     if f_p[0] > f_p[1] or f_up[0] > f_up[1]:
         raise InfeasibleError(
             "no valid sample composition reaches these targets: the implied "
@@ -156,11 +173,52 @@ def _exact_ratios(
         )
     ratios = (
         _rmul(P, f_p),
-        _rmul(P, _rsub(one, f_p)),
-        _rmul(_rsub(one, P), f_up),
-        _rmul(_rsub(one, P), _rsub(one, f_up)),
+        _rmul(P, _rsub((1, 1), f_p)),
+        _rmul(Q, f_up),
+        _rmul(Q, _rsub((1, 1), f_up)),
     )
+    return f_p, f_up, ratios
+
+
+def _exact_ratios(
+    c: QuadrantCounts, params: BalanceParams
+) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
+    """Returns ((P', F', A', F'_p, F'_up), (r_p_f, r_p_uf, r_up_f, r_up_uf))."""
+    P, F, A = _exact_targets(c, params)
+    f_p, f_up, ratios = _ratios_from(_group_parts(c, params.alpha, params.gamma), F)
     return (P, F, A, f_p, f_up), ratios
+
+
+def plan_ratios(
+    c: QuadrantCounts, params: Sequence[BalanceParams]
+) -> tuple[np.ndarray, list[str | None]]:
+    """compute_plan's ratios for many points at once: a (K, 4) array,
+    each row equal to its plan's ratios bit for bit, and per point None
+    or compute_plan's InfeasibleError text (its row is then 0).
+
+    The parts that depend on (alpha, gamma) are computed once per
+    distinct pair. Every ratio is the same exact rational as
+    compute_plan's, and int true division rounds correctly, so the
+    floats agree.
+    """
+    _check_counts(c)
+    rows: list[tuple[float, ...]] = []
+    reasons: list[str | None] = []
+    parts: dict[tuple[float, float], tuple[tuple[int, int], ...]] = {}
+    favourable = (c.favourable, c.total)
+    for p in params:
+        key = (p.alpha, p.gamma)
+        if key not in parts:
+            parts[key] = _group_parts(c, p.alpha, p.gamma)
+        try:
+            _, _, exact = _ratios_from(parts[key], _moved(favourable, (1, 2), p.beta))
+        except InfeasibleError as exc:
+            rows.append((0.0,) * 4)
+            reasons.append(str(exc))
+            continue
+        rows.append(tuple(map(_rfloat, exact)))
+        reasons.append(None)
+    return np.array(rows, dtype=float).reshape(len(rows), 4), reasons
 
 
 def compute_plan(c: QuadrantCounts, params: BalanceParams) -> SamplingPlan:
@@ -456,17 +514,18 @@ def _draw_rows(
 
 
 def draw_samples(
-    d: Dataset, plans: Sequence[SamplingPlan], seeds: Sequence[int], size: int
+    d: Dataset, ratios: np.ndarray, seeds: Sequence[int], size: int
 ) -> tuple[np.ndarray, list[str | None]]:
-    """One sample draw per plan, each the draw of sample_indices.
+    """One sample draw per row of (K, 4) plan ratios, each the draw of
+    sample_indices for a plan with those ratios.
 
     Returns the sorted row positions of the draws whose quotas fit d's
-    quadrants, one (size,) row each in plan order, and per plan None or
+    quadrants, one (size,) row each in row order, and per row None or
     why its quotas do not fit.
     """
     pools = [d.quadrant_indices()[name] for name in QUADRANT_NAMES]
     n = np.array([len(pool) for pool in pools])
-    quotas = _quotas(size, np.array([plan.ratios for plan in plans]).reshape(-1, 4))
+    quotas = _quotas(size, np.asarray(ratios, dtype=float).reshape(-1, 4))
     short = quotas > n
     reasons: list[str | None] = [None] * len(quotas)
     for k in np.flatnonzero(short.any(axis=1)).tolist():
@@ -486,7 +545,7 @@ def sample_indices(d: Dataset, plan: SamplingPlan, size: int, seed: int) -> np.n
     are drawn uniformly without replacement inside each quadrant with a
     single seeded generator, quadrants in fixed order (see _draw_rows).
     """
-    rows, (reason,) = draw_samples(d, [plan], [seed], size)
+    rows, (reason,) = draw_samples(d, np.array([plan.ratios]), [seed], size)
     if reason is not None:
         raise InfeasibleError(reason)
     return rows[0]

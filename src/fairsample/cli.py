@@ -497,15 +497,25 @@ def setups(config_path, seed, out_dir):
     click.echo(f"wrote {table} and {manifest}")
 
 
+def _knob_cells(params: BalanceParams, threshold: float) -> list[str]:
+    """alpha, beta, gamma and threshold as table cells: each the shortest
+    fixed-point text with at least 2 decimals that reads back as the
+    same float (0.5 is 0.50, 0.375 is 0.375)."""
+    cells = []
+    for value in (*params.as_tuple(), threshold):
+        places = 2
+        while float(text := f"{value:.{places}f}") != value:
+            places += 1
+        cells.append(text)
+    return cells
+
+
 def _front_rows(points) -> list[list[str]]:
     return [
         [
             render(p.report.mcc_loss, 6),
             render(p.report.di_loss, 6),
-            f"{p.params.alpha:.2f}",
-            f"{p.params.beta:.2f}",
-            f"{p.params.gamma:.2f}",
-            f"{p.threshold:.2f}",
+            *_knob_cells(p.params, p.threshold),
         ]
         for p in points
     ]
@@ -563,10 +573,7 @@ def search(config_path, seed, out_dir):
         optimal_rows.append(
             [
                 label,
-                f"{best.params.alpha:.2f}",
-                f"{best.params.beta:.2f}",
-                f"{best.params.gamma:.2f}",
-                f"{best.threshold:.2f}",
+                *_knob_cells(best.params, best.threshold),
                 str(best.size),
                 *_metric_cells(best.report),
                 "",
@@ -692,10 +699,7 @@ def report(config_path, seed, out_dir, results_path, test_path):
         rows.append(
             [
                 label,
-                f"{params.alpha:.2f}",
-                f"{params.beta:.2f}",
-                f"{params.gamma:.2f}",
-                f"{threshold:.2f}",
+                *_knob_cells(params, threshold),
                 *_metric_cells(point.report),
                 "",
             ]

@@ -36,19 +36,20 @@ from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-# sample_indices, materialize_sample and report_from_counts are not
-# called here, but perfbench/spans.py wraps them under this module's names
+# compute_plan, sample_indices, materialize_sample and report_from_counts
+# are not called here, but perfbench/spans.py wraps them under this
+# module's names
 from .balance import (
     BalanceParams,
-    SamplingPlan,
     _lattice_denominator,
     compute_plan,
     draw_samples,
     materialize_sample,
     max_sample_size,
+    plan_ratios,
     sample_indices,
 )
-from .base import InfeasibleError, InputError, SearchError, TrainingError, check_int, check_number
+from .base import InputError, SearchError, TrainingError, check_int, check_number
 from .classifiers import (
     SINGLE_LABEL_TEXT,
     ClassifierSpec,
@@ -235,12 +236,18 @@ _COMBINED, _DI_LOSS, _MCC_LOSS = _COLUMN["combined_loss"], _COLUMN["di_loss"], _
 _THRESHOLD = 3 + len(_METRIC_NAMES)
 # points whose floats are read out of the numbers at once
 _LINE_BLOCK = 1024
-# a valid point's line; each %r is one of its numbers
+# columns of _Level.numbers that are knobs or the threshold
+_KNOB_COLUMNS = [_ALPHA, _BETA, _GAMMA, _THRESHOLD]
+# a valid point's line; its knobs, threshold and metric block are
+# memoised texts, and seed and size are ints
 _LINE = (
-    '{"alpha": %r, "beta": %r, "classifier": %s, "error": null, "gamma": %r, '
-    '"metrics": {"accuracy": %r, "combined_loss": %r, "di_loss": %r, "di_ratio": %r, '
-    '"f1": %r, "mcc": %r, "mcc_loss": %r, "precision": %r, "recall": %r}, '
-    '"seed": %d, "size": %d, "threshold": %r, "valid": true}'
+    '{"alpha": %s, "beta": %s, "classifier": %s, "error": null, "gamma": %s, '
+    '"metrics": {%s}, "seed": %d, "size": %d, "threshold": %s, "valid": true}'
+)
+# a valid point's metric block; each %r is one of its numbers
+_METRIC_BLOCK = (
+    '"accuracy": %r, "combined_loss": %r, "di_loss": %r, "di_ratio": %r, '
+    '"f1": %r, "mcc": %r, "mcc_loss": %r, "precision": %r, "recall": %r'
 )
 
 
@@ -297,19 +304,39 @@ class _Level(list):
 
     def lines(self) -> Iterator[str]:
         """json.dumps(p.to_dict(), sort_keys=True) for each point, with
-        the floats of _LINE_BLOCK points read out at a time.
+        the numbers of _LINE_BLOCK points read out at a time.
 
         JSON writes a finite float as its repr, so a point whose numbers
         are plain and finite (a valid point), with int seed and size, a
         string kind and no error, fills one template; any other point
-        goes through json.dumps.
+        goes through json.dumps. Points share few distinct numbers, so
+        the template's texts are memoised: a knob's or threshold's by
+        its float's bit pattern, and a metric block's by the bit
+        patterns of its nine floats. Bit patterns keep -0.0 apart from
+        0.0. Points with equal metrics have equal combined loss, so in
+        sort order they mostly follow each other: the metric memo keeps
+        the last block only.
         """
         quoted: dict[str, str] = {}
+        knob_text: dict[int, str] = {}
+        last_key, text = None, ""
         for start in range(0, len(self), _LINE_BLOCK):
             points = self[start : start + _LINE_BLOCK]
             numbers = self.numbers[start : start + _LINE_BLOCK]
             finite = np.isfinite(numbers).all(axis=1).tolist()
-            for p, row, templated in zip(points, numbers.tolist(), finite):
+            knobs = numbers[:, _KNOB_COLUMNS]
+            knob_bits = knobs.view(np.int64)
+            seen, at = np.unique(knob_bits, return_index=True)
+            for bits, value in zip(seen.tolist(), knobs.ravel()[at].tolist()):
+                if bits not in knob_text:
+                    knob_text[bits] = repr(value)
+            metrics = np.ascontiguousarray(numbers[:, 3:_THRESHOLD])
+            # one bytes object per row: its nine floats' bit patterns
+            row_bytes = np.dtype((np.void, metrics.itemsize * metrics.shape[1]))
+            metric_keys = metrics.view(row_bytes).ravel().tolist()
+            for i, (p, (a, b, g, t), key, templated) in enumerate(
+                zip(points, knob_bits.tolist(), metric_keys, finite)
+            ):
                 kind = p.classifier_kind
                 if (
                     templated
@@ -321,7 +348,12 @@ class _Level(list):
                 ):
                     if kind not in quoted:
                         quoted[kind] = json.dumps(kind)
-                    yield _LINE % (row[0], row[1], quoted[kind], *row[2:12], p.seed, p.size, row[12])
+                    if key != last_key:
+                        last_key, text = key, _METRIC_BLOCK % tuple(metrics[i].tolist())
+                    yield _LINE % (
+                        knob_text[a], knob_text[b], quoted[kind], knob_text[g], text,
+                        p.seed, p.size, knob_text[t],
+                    )
                 else:
                     yield json.dumps(p.to_dict(), sort_keys=True)
 
@@ -351,24 +383,58 @@ class _Level(list):
 
 def _threshold_columns(
     thresholds: list[tuple[float, ...]],
+    memo: dict[tuple[tuple[float, ...], ...], tuple[np.ndarray, ...]] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The sorted union of the tasks' thresholds, a (task, union) mask of
     each task's own thresholds, and the union column of each task's first.
 
     Tasks mostly share a tuple (level 0's grid, a level-1 winner's
-    refinement), so each distinct tuple is looked up once.
+    refinement), so each distinct tuple is looked up once; and blocks of
+    tasks mostly share a set of distinct tuples, whose columns memo
+    keeps across calls.
     """
     distinct: dict[tuple[float, ...], int] = {}
     rows = [distinct.setdefault(ts, len(distinct)) for ts in thresholds]
-    values = [np.asarray(ts, dtype=float) for ts in distinct]
-    union = np.unique(np.concatenate(values))
-    member = np.zeros((len(distinct), len(union)), dtype=bool)
-    first = np.empty(len(distinct), dtype=np.int64)
-    for row, ts in enumerate(values):
-        cols = np.searchsorted(union, ts)
-        member[row, cols] = True
-        first[row] = cols[0]
+    key = tuple(distinct)
+    memo = {} if memo is None else memo
+    if key not in memo:
+        values = [np.asarray(ts, dtype=float) for ts in key]
+        union = np.unique(np.concatenate(values))
+        member = np.zeros((len(key), len(union)), dtype=bool)
+        first = np.empty(len(key), dtype=np.int64)
+        for row, ts in enumerate(values):
+            cols = np.searchsorted(union, ts)
+            member[row, cols] = True
+            first[row] = cols[0]
+        memo[key] = union, member, first
+    union, member, first = memo[key]
     return union, member[rows], first[rows]
+
+
+# the longest union binned by counting comparisons: each threshold costs
+# the counting one pass over the scores, while searchsorted's cost grows
+# with the log of the union; on 1,502 x 32 scores the two cross between
+# 200 and 280 thresholds
+_COUNTED_UNION = 200
+
+
+def _above(union: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """Per score, how many thresholds of a sorted union of distinct,
+    non-NaN thresholds lie above it: len(union) - np.searchsorted(union,
+    scores, side="right"). No threshold lies above a NaN score, as
+    searchsorted places NaN after every value.
+
+    Up to _COUNTED_UNION thresholds, it counts the comparisons
+    score < u, one pass a threshold, in the smallest unsigned type that
+    holds len(union).
+    """
+    if len(union) > _COUNTED_UNION:
+        return len(union) - np.searchsorted(union, scores, side="right")
+    below = np.empty(scores.shape, dtype=bool)
+    count = np.zeros(scores.shape, dtype=np.min_scalar_type(len(union)))
+    for u in union.tolist():
+        count += np.less(scores, u, out=below)
+    return count
 
 
 class _ThresholdSweep:
@@ -401,6 +467,8 @@ class _ThresholdSweep:
         # the smallest integer type that holds any count of the set
         self.count_type = np.min_scalar_type(len(actual))
         self.weights = weights
+        # _threshold_columns of each distinct set of tuples met so far
+        self.columns: dict[tuple[tuple[float, ...], ...], tuple[np.ndarray, ...]] = {}
 
     def choose(
         self, scores: np.ndarray, thresholds: list[tuple[float, ...]]
@@ -415,13 +483,13 @@ class _ThresholdSweep:
         case building its report raises InputError).
         """
         k = len(thresholds)
-        union, member, first = _threshold_columns(thresholds)
+        union, member, first = _threshold_columns(thresholds, self.columns)
         width = len(union) + 1
-        # bin b holds scores in [union[b-1], union[b]): score >= union[u] iff b > u
-        keys = np.searchsorted(union, scores, side="right")
-        # key = (task * 4 + category) * width + bin, built in place
-        keys += self.category[:, None] * width
-        keys += np.arange(k) * (4 * width)
+        # key = (task * 4 + category) * width + bin, where bin b holds
+        # scores in [union[b-1], union[b]), so score >= union[u] iff b > u;
+        # a score's bin is len(union) less the thresholds above it
+        keys = (self.category * width + len(union))[:, None] + np.arange(k) * (4 * width)
+        keys -= _above(union, scores)
         counts = np.bincount(keys.ravel(), minlength=k * 4 * width).reshape(k, 4, width)
         # positive[k, c, u] = rows of category c with score >= union[u]
         positive = counts[:, :, ::-1].cumsum(axis=2)[:, :, ::-1][:, :, 1:]
@@ -467,6 +535,8 @@ _OK, _INFEASIBLE, _SINGLE_LABEL, _TRAINING_ERROR = range(4)
 
 # a task without a report: its outcome code and error text
 Failure = tuple[int, str]
+# the error text of a linear fit whose weights are not all finite
+_DIVERGED = "the linear fit diverged: its weights are not finite; lower learning_rate"
 
 
 class _ChunkTable(NamedTuple):
@@ -552,20 +622,16 @@ def _chunk_points(
 def _draw_chunk(
     d_train: Dataset, chunk: list[Task], size: int
 ) -> tuple[np.ndarray, list[Failure | None]]:
-    """The samples of a chunk's tasks in one pass (balance.draw_samples):
-    the rows of those that hold both labels, in task order, and per task
-    None or its failure, _INFEASIBLE or _SINGLE_LABEL."""
-    counts = quadrant_counts(d_train)
-    plans: list[SamplingPlan] = []
-    failures: list[Failure | None] = []
-    for params, _, _ in chunk:
-        try:
-            plans.append(compute_plan(counts, params))
-            failures.append(None)
-        except InfeasibleError as exc:
-            failures.append((_INFEASIBLE, str(exc)))
+    """The samples of a chunk's tasks in one pass (balance.plan_ratios,
+    balance.draw_samples): the rows of those that hold both labels, in
+    task order, and per task None or its failure, _INFEASIBLE or
+    _SINGLE_LABEL."""
+    ratios, infeasible = plan_ratios(quadrant_counts(d_train), [params for params, _, _ in chunk])
+    failures: list[Failure | None] = [
+        None if reason is None else (_INFEASIBLE, reason) for reason in infeasible
+    ]
     planned = [k for k, failure in enumerate(failures) if failure is None]
-    rows, short = draw_samples(d_train, plans, [chunk[k][2] for k in planned], size)
+    rows, short = draw_samples(d_train, ratios[planned], [chunk[k][2] for k in planned], size)
     for k, reason in zip(planned, short):
         if reason is not None:
             failures[k] = (_INFEASIBLE, reason)
@@ -689,10 +755,13 @@ def _batched_linear(
         std[std == 0.0] = 1.0
         std[:, one_hot_columns] = 1.0
         xs /= std[:, None, :]
-        w, b, _ = fit_logistic_batch(xs, ys, *descent)
-        coef = np.empty((len(rows), width + 1))
-        coef[:, :width] = w / std
-        coef[:, width] = b - np.sum(w * mean / std, axis=1)
+        # a descent that diverges overflows to inf and NaN on its way:
+        # run_chunk turns its fit into a failure, so no warning is due
+        with np.errstate(over="ignore", invalid="ignore"):
+            w, b, _ = fit_logistic_batch(xs, ys, *descent)
+            coef = np.empty((len(rows), width + 1))
+            coef[:, :width] = w / std
+            coef[:, width] = b - np.sum(w * mean / std, axis=1)
         return coef
 
     def run_chunk(chunk: list[Task]) -> _ChunkTable:
@@ -703,9 +772,13 @@ def _batched_linear(
         fresh = [k for k, outcome in enumerate(outcomes) if outcome is None]
         if fresh:
             rows, failures = _draw_chunk(d_train, [chunk[k] for k in fresh], size)
-            coef = iter(fit_samples(rows) if len(rows) else ())
+            coefs = fit_samples(rows) if len(rows) else np.empty((0, width + 1))
+            fitted = zip(coefs, np.isfinite(coefs).all(axis=1).tolist())
             for k, failure in zip(fresh, failures):
-                outcomes[k] = next(coef) if failure is None else failure
+                if failure is None:
+                    coef, finite = next(fitted)
+                    failure = None if finite else (_TRAINING_ERROR, _DIVERGED)
+                outcomes[k] = coef if failure is None else failure
         failures = [o if isinstance(o, tuple) else None for o in outcomes]
         scored = [k for k, failure in enumerate(failures) if failure is None]
         fits = np.array([outcomes[k] for k in scored]).reshape(len(scored), width + 1)

@@ -7,6 +7,7 @@ bound. Frozen expected values below were produced by those oracles.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import math
@@ -29,6 +30,7 @@ from fairsample.balance import (
     draw_samples,
     materialize_sample,
     max_sample_size,
+    plan_ratios,
     preset_plan,
     quadrant_bounds,
     sample_indices,
@@ -275,6 +277,43 @@ def test_empty_quadrant_rejected():
         compute_plan(QuadrantCounts(10, 0, 5, 5), BalanceParams(0.5, 0.5, 0.5))
     with pytest.raises(PlanError):
         max_sample_size(QuadrantCounts(10, 3, 0, 5))
+
+
+@functools.lru_cache(maxsize=1)
+def lattice_params(n: int) -> list[BalanceParams]:
+    return [BalanceParams(a / n, b / n, g / n) for a, b, g in itertools.product(range(n + 1), repeat=3)]
+
+
+@pytest.mark.parametrize(
+    "counts, infeasible",
+    [
+        (QuadrantCounts(9000, 90, 900, 30), False),  # W1's composition
+        (QuadrantCounts(250, 250, 250, 250), False),
+        (QuadrantCounts(400, 10, 80, 40), True),
+    ],
+)
+def test_plan_ratios_are_compute_plan_bit_for_bit(counts, infeasible):
+    # every cell of the 0.02 lattice: the parts cached per (alpha, gamma)
+    # give compute_plan's floats and its InfeasibleError text
+    params = lattice_params(50)
+    ratios, reasons = plan_ratios(counts, params)
+    assert ratios.shape == (len(params), 4) and len(reasons) == len(params)
+    want = np.zeros((len(params), 4))
+    want_reasons = []
+    for k, p in enumerate(params):
+        try:
+            want[k] = compute_plan(counts, p).ratios
+            want_reasons.append(None)
+        except InfeasibleError as exc:
+            want_reasons.append(str(exc))
+    assert reasons == want_reasons
+    assert np.array_equal(ratios.view(np.int64), want.view(np.int64))
+    assert any(r is not None for r in reasons) == infeasible
+
+
+def test_plan_ratios_check_the_counts():
+    with pytest.raises(PlanError, match="empty"):
+        plan_ratios(QuadrantCounts(10, 0, 5, 5), [BalanceParams(0.5, 0.5, 0.5)])
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +586,7 @@ def test_draw_samples_is_sample_indices_per_plan():
             continue
     seeds = list(range(len(plans)))
     size = 100
-    rows, reasons = draw_samples(d, plans, seeds, size)
+    rows, reasons = draw_samples(d, np.array([plan.ratios for plan in plans]), seeds, size)
     assert rows.shape[1] == size
     drawn = iter(rows)
     outcomes = set()

@@ -814,6 +814,53 @@ def check_report_reproduces_search(tmp_path, classifier):
         assert report[column] == optimal[column], column
 
 
+def test_knob_cells_are_the_shortest_text_that_reads_back():
+    from fairsample.cli import _knob_cells
+
+    assert _knob_cells(BalanceParams(0.375, 0.5, 1.0), 0.125) == ["0.375", "0.50", "1.00", "0.125"]
+    assert _knob_cells(BalanceParams(0.0, 1e-7, 0.1 + 0.2), 0.05) == [
+        "0.00", "0.0000001", "0.30000000000000004", "0.05",
+    ]
+
+
+def test_search_and_report_tables_print_eighths_exactly(tmp_path):
+    # knobs and thresholds on a 1/8 lattice: 0.375 once printed as 0.38
+    out = tmp_path / "eighths"
+    cfg_path = write_config(
+        tmp_path / "eighths.yaml",
+        f"""\
+        dataset:
+          synthetic: {{quadrants: [520, 60, 130, 40]}}
+        split: {{fractions: [0.6, 0.2, 0.2], seed: 0}}
+        grid: {{level0_step: 0.25, level1_step: 0.125, top_k: 2, neighborhood: 0.125, thresholds: [0.25, 0.5, 0.75]}}
+        classifiers:
+          - {{kind: logistic}}
+        out: {out}
+        seed: 0
+        """,
+    )
+    result = runner.invoke(main, ["search", "--config", cfg_path])
+    assert result.exit_code == 0, result.output
+    cfg = load_config(cfg_path)
+    from fairsample.cli import _load_dataset
+
+    parts = stratified_split(_load_dataset(cfg), cfg.fractions, cfg.split_seed)
+    eval1_csv = tmp_path / "eval1.csv"
+    write_csv(parts[2], str(eval1_csv))
+    result = runner.invoke(main, ["report", "--config", cfg_path, "--test", str(eval1_csv)])
+    assert result.exit_code == 0, result.output
+    knobs = ("alpha", "beta", "gamma", "threshold")
+    eighths = {f"{j / 8:.3f}".rstrip("0").ljust(4, "0") for j in range(9)}
+    assert eighths == {"0.00", "0.125", "0.25", "0.375", "0.50", "0.625", "0.75", "0.875", "1.00"}
+    tables = ("optimal.csv", "report.csv", "pareto_level0_logistic.csv", "pareto_level1_logistic.csv")
+    cells = {name: [row[k] for row in read_rows(out / name) for k in knobs] for name in tables}
+    assert all(cell in eighths for name in tables for cell in cells[name])
+    assert any(len(cell) == 5 for cell in cells["pareto_level1_logistic.csv"])
+    [stored] = json.loads((out / "search_state.json").read_text())["classifiers"]
+    assert [float(cell) for cell in cells["optimal.csv"]] == [stored[k] for k in knobs]
+    assert cells["report.csv"] == cells["optimal.csv"]
+
+
 def test_report_missing_results_is_an_input_error(tmp_path):
     cfg = small_synthetic_config(tmp_path, out=tmp_path / "no_state")
     test_csv = tmp_path / "t.csv"

@@ -954,6 +954,64 @@ def test_threshold_columns_match_a_per_task_lookup():
     assert first.dtype == want_first.dtype
 
 
+def test_threshold_columns_are_memoised_per_set_of_tuples():
+    memo = {}
+    grid, refined = (0.1, 0.5, 0.9), (0.45, 0.5)
+    first_call = search_mod._threshold_columns([grid, grid, refined], memo)
+    again = search_mod._threshold_columns([refined, grid], memo)
+    assert list(memo) == [(grid, refined), (refined, grid)]
+    assert search_mod._threshold_columns([grid] * 3, memo)[2].tolist() == [0, 0, 0]
+    assert len(memo) == 3
+    for (union, member, first), thresholds in [(first_call, [grid, grid, refined]), (again, [refined, grid])]:
+        want = search_mod._threshold_columns(thresholds)
+        assert np.array_equal(union, want[0])
+        assert np.array_equal(member, want[1])
+        assert np.array_equal(first, want[2])
+
+
+@pytest.mark.parametrize("length", [1, 255, 256, 999])
+@pytest.mark.parametrize("counted", [True, False])
+def test_counted_bins_are_searchsorted(monkeypatch, length, counted):
+    # each union through both methods: counting comparisons (forced up to
+    # 999 thresholds) and searchsorted
+    monkeypatch.setattr(search_mod, "_COUNTED_UNION", length if counted else 0)
+    rng = np.random.default_rng(length)
+    union = np.sort(rng.choice(np.arange(1, 10**6), size=length, replace=False)) / 10**6
+    special = [0.0, -0.0, 1.0, np.nan, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)]
+    scores = np.concatenate(
+        [
+            union,  # every score exactly on a threshold
+            np.nextafter(union, 0.0),
+            np.nextafter(union, 1.0),
+            special,
+            rng.random(3000 + -(3 * length + len(special)) % 4),  # 4 equal columns
+        ]
+    )
+    rng.shuffle(scores)
+    scores = scores.reshape(-1, 4)
+    above = search_mod._above(union, scores)
+    assert np.array_equal(len(union) - above.astype(np.int64), np.searchsorted(union, scores, side="right"))
+    assert np.all(above[np.isnan(scores)] == 0)  # NaN lies above every threshold
+    if counted:
+        assert above.dtype == np.min_scalar_type(length)
+        assert above.dtype.kind == "u"
+
+
+def test_the_sweep_bins_scores_on_thresholds_nan_and_signed_zero(monkeypatch):
+    # the sweep's counts agree through either binning, also on scores a
+    # checked model never returns
+    sweep = search_mod._ThresholdSweep(EVAL, WEIGHTS)
+    rng = np.random.default_rng(5)
+    thresholds = [(0.25, 0.5, 0.75), (0.5,), (0.25, 0.75)]
+    scores = rng.choice([0.0, -0.0, 0.25, 0.5, 0.75, 1.0, np.nan, 0.3], size=(len(EVAL), 3))
+    chosen = {}
+    for limit in (0, 200):
+        monkeypatch.setattr(search_mod, "_COUNTED_UNION", limit)
+        chosen[limit] = sweep.choose(scores, thresholds)
+    assert np.array_equal(chosen[0][0], chosen[200][0])
+    assert np.array_equal(chosen[0][1], chosen[200][1])
+
+
 def test_model_evaluator_single_label_sample_is_quarantined():
     spec = ClassifierSpec(kind="logistic", params={})
     # a sample of one record cannot contain both labels
@@ -1128,6 +1186,45 @@ def test_worker_processes_give_the_in_process_results(case, monkeypatch, tmp_pat
     assert len(fits) == (len(POOL_TASKS) if spec.kind in ("logistic", "svm") else 0)
     for key, fit in fits.items():
         assert np.array_equal(pooled_fits[key], fit)
+
+
+def test_a_diverged_linear_fit_is_a_training_error_kept_for_level_1():
+    # a huge step sends the weights to inf and NaN; such a fit has no
+    # report (it would otherwise score every row unfavourable), and no
+    # warning is raised on the way
+    spec = ClassifierSpec(kind="logistic", params={"learning_rate": 1.0e30})
+    fits: dict = {}
+    tasks = model_tasks()
+    points = make_model_evaluator(TRAIN, EVAL, spec, WEIGHTS, SIZE, keep_fits=fits)(tasks)
+    assert [p.error for p in points] == [search_mod._DIVERGED] * len(tasks)
+    assert all(p.report is None and not p.valid for p in points)
+    assert "diverged" in search_mod._DIVERGED
+    assert list(fits.values()) == [(search_mod._TRAINING_ERROR, search_mod._DIVERGED)] * len(tasks)
+    again = make_model_evaluator(TRAIN, EVAL, spec, WEIGHTS, SIZE, reuse_fits=fits)(tasks)
+    assert [p.to_dict() for p in again] == [p.to_dict() for p in points]
+
+
+def test_only_the_diverged_fits_of_a_chunk_fail(monkeypatch):
+    tasks = model_tasks()
+    want = make_model_evaluator(TRAIN, EVAL, LOGISTIC, WEIGHTS, SIZE)(tasks)
+
+    def one_diverges(*args):
+        w, b, iterations = fit_logistic_batch(*args)
+        w[1, 0] = np.nan
+        b[2] = np.inf
+        return w, b, iterations
+
+    monkeypatch.setattr(search_mod, "fit_logistic_batch", one_diverges)
+    got = make_model_evaluator(TRAIN, EVAL, LOGISTIC, WEIGHTS, SIZE)(tasks)
+    # tasks whose samples were drawn and fitted, in order
+    fitted = [k for k, p in enumerate(want) if p.report is not None]
+    assert len(fitted) >= 3
+    failed = {fitted[1], fitted[2]}
+    for k, (p, q) in enumerate(zip(got, want)):
+        if k in failed:
+            assert p.error == search_mod._DIVERGED and p.report is None
+        else:
+            assert p.to_dict() == q.to_dict()
 
 
 def test_a_worker_error_reaches_the_caller_and_no_worker_outlives_it(monkeypatch):
@@ -1314,6 +1411,10 @@ def test_point_lines_are_json_dumps_byte_for_byte(monkeypatch, block):
         EvaluationPoint(knobs, 0.45, "logistic", None, 88, 10, REFUSAL),
         EvaluationPoint(knobs, 0.5, "logistic", None, 88, 11, "no valid sample composition"),
         EvaluationPoint(knobs, 1e-300, "we\"ird", plain_report(f1=1e300), 88, 2**64 - 1),
+        # -0.0 and 0.0 print apart, as knobs and as metrics
+        EvaluationPoint(BalanceParams(-0.0, 0.0, 0.75), 0.3, "logistic", plain_report(di_loss=0.0), 88, 7),
+        EvaluationPoint(BalanceParams(0.0, -0.0, 0.75), 0.3, "logistic", plain_report(di_loss=-0.0), 88, 7),
+        EvaluationPoint(BalanceParams(-0.0, -0.0, -0.0), 0.3, "logistic", plain_report(mcc=-0.0), 88, 7),
     ]
     others = [
         EvaluationPoint(BalanceParams(0, 1, 0), 0.5, "logistic", plain_report(), 88, 7),
