@@ -321,36 +321,35 @@ def _choice_bounds(width: int, size: int) -> tuple[int, ...]:
     return tuple(floyd + [i + 1 for i in range(size - 1, 0, -1)])
 
 
-class _Tree:
-    """A tree in growth: its generator and depth limit, the deepest
-    depth it has reached, its nodes so far as a flat float array of
-    [feature, threshold, left, right, label] rows, and a stack of nodes
-    still to grow, each (start, stop, ones, depth, parent, side): the
-    node's rows are order[start:stop] of its group, ones of them
-    labelled 1, and its index goes to column side (2 left, 3 right) of
-    its parent's row.
+class _Candidates:
+    """The candidate sets one tree index draws at one width, in order:
+    sets[i] is the set its i-th splitting node in pre-order takes.
 
-    After its bootstrap, the generator serves only the tree's candidate
-    draws (candidates), which read its 32-bit stream, bits[at:], drawn
-    in bulk with random_raw. That stream is numpy's next_uint32: the
-    half-word the bootstrap left buffered, if any, then each 64-bit
-    word's low half and then its high half."""
+    Tree t of every forest with one seed starts from the same generator,
+    SeedSequence(seed).spawn(n_trees)[t], and with the same row count n
+    draws the same bootstrap. After it, the generator serves only the
+    tree's candidate draws, and set i depends only on that stream, the
+    bounds and i; so the trees that share (seed, t, n, width) share one
+    list, which the deepest of them fills (candidates). The draws read
+    the generator's 32-bit stream, bits[at:], fetched in bulk with
+    random_raw: numpy's next_uint32, which is the half-word the
+    bootstrap left buffered, if any, then each 64-bit word's low half and
+    then its high half. Readers of one generator at other widths share
+    rng and bits, each with its own position at; bits only grows."""
 
-    __slots__ = ("rng", "bits", "at", "max_depth", "depth", "nodes", "stack")
+    __slots__ = ("rng", "bits", "at", "sets")
 
-    def __init__(self, rng, max_depth, root):
-        self.rng, self.max_depth, self.stack = rng, max_depth, [root]
-        self.depth = 0
-        self.nodes = array.array("d")
-        state = rng.bit_generator.state
-        self.bits, self.at = [state["uinteger"]] if state["has_uint32"] else [], 0
+    def __init__(self, rng, bits=None):
+        if bits is None:
+            state = rng.bit_generator.state
+            bits = [state["uinteger"]] if state["has_uint32"] else []
+        self.rng, self.bits, self.at, self.sets = rng, bits, 0, []
 
     def _refill(self, need: int) -> None:
         """At least need more half-words at bits[at:], and 64 to spare,
-        so that a tree fetches its stream in a few calls."""
+        so that a stream is fetched in a few calls."""
         words = self.rng.bit_generator.random_raw(32 + need // 2)
-        self.bits = self.bits[self.at :] + np.asarray(words, dtype="<u8").view("<u4").tolist()
-        self.at = 0
+        self.bits.extend(np.asarray(words, dtype="<u8").view("<u4").tolist())
 
     def candidates(self, width: int, size: int, bounds: tuple[int, ...]) -> list[int]:
         """sorted(self.rng.choice(width, size, replace=False)), replayed
@@ -369,9 +368,7 @@ class _Tree:
             if m & 0xFFFFFFFF < r:  # rarely, a draw to reject
                 while m & 0xFFFFFFFF < 0x100000000 % r:
                     if at == len(bits):
-                        self.at = at
                         self._refill(1)
-                        bits, at = self.bits, 0
                     m = bits[at] * r
                     at += 1
             values.append(m >> 32)
@@ -383,6 +380,24 @@ class _Tree:
         return sorted(chosen)
 
 
+class _Tree:
+    """A tree in growth: its depth limit, the deepest depth it has
+    reached, its nodes so far as a flat float array of [feature,
+    threshold, left, right, label] rows, and a stack of nodes still to
+    grow, each (start, stop, ones, depth, parent, side): the node's rows
+    are order[start:stop] of its group, ones of them labelled 1, and its
+    index goes to column side (2 left, 3 right) of its parent's row.
+    Its splitting nodes take the candidate sets of draws in turn; used
+    counts those taken."""
+
+    __slots__ = ("max_depth", "depth", "nodes", "stack", "draws", "used")
+
+    def __init__(self, max_depth, root, draws):
+        self.max_depth, self.stack, self.draws = max_depth, [root], draws
+        self.depth = self.used = 0
+        self.nodes = array.array("d")
+
+
 def _grow_group(x, y, order, trees, per_split) -> None:
     """Grow trees in lockstep on x, the rows of their forests stacked
     and closed by a sentinel row of +inf features whose label (the last
@@ -390,17 +405,21 @@ def _grow_group(x, y, order, trees, per_split) -> None:
 
     Each step advances every tree depth-first, left before right, past
     its leaves to its next node that may split, so each tree numbers its
-    nodes and draws its candidate features (_Tree.candidates) exactly as
-    when grown alone, and scores those nodes together, largest first, in
-    calls of at most _STEP_ROWS padded rows. In a call, the nodes' candidate columns,
-    padded with the sentinel to the largest node, are sorted together,
-    and cumulative label counts score every boundary (CART; Louppe,
-    arXiv:1407.7502, ch. 5) as len/n * 2p(1 - p), left plus right, with
-    p = ones/len. Equal neighbours never split, nor boundaries at or
-    past a node's size; the first lowest score, feature before boundary,
-    wins. A split rewrites the node's slice of order in its sorted
-    order, so the rows at or below the cut are the left child's slice
-    and the rest the right's. A leaf has feature -1 and points to
+    nodes and takes its candidate features (its draws' next set, drawn
+    when no tree has yet) exactly as when grown alone, and scores those
+    nodes together, largest first, in calls of at most _STEP_ROWS padded
+    rows. In a call, the nodes' candidate columns, padded with the
+    sentinel to the largest node, are sorted together, and cumulative
+    label counts score every boundary (CART; Louppe, arXiv:1407.7502,
+    ch. 5) as len/n * 2p(1 - p), left plus right, with p = ones/len.
+    Equal neighbours never split, nor boundaries at or past a node's
+    size; the first lowest score, feature before boundary, wins. The cut
+    is the midpoint of the boundary's two values, or the lower value
+    where the midpoint rounds up to the upper one or overflows, so the
+    lower value goes left and the upper right (as scikit-learn's
+    splitter does). A split rewrites the node's slice of order in its
+    sorted order, so the rows at or below the cut are the left child's
+    slice and the rest the right's. A leaf has feature -1 and points to
     itself, so a row that reaches it stays there.
     """
     width = x.shape[1]
@@ -419,8 +438,11 @@ def _grow_group(x, y, order, trees, per_split) -> None:
                         tree.depth = depth
                 nodes.extend((-1, 0.0, index, index, 1.0 if ones * 2 > stop - start else 0.0))
                 if depth < tree.max_depth and 0 < ones < stop - start:
-                    candidates = tree.candidates(width, per_split, bounds)
-                    batch.append((tree, index, start, stop, ones, depth, candidates))
+                    sets, used = tree.draws.sets, tree.used
+                    if used == len(sets):
+                        sets.append(tree.draws.candidates(width, per_split, bounds))
+                    tree.used = used + 1
+                    batch.append((tree, index, start, stop, ones, depth, sets[used]))
                     break
         batch.sort(key=lambda node: node[2] - node[3])  # largest first
         while batch:
@@ -470,7 +492,10 @@ def _split_nodes(x, y, order, batch) -> None:
     feat, boundary = np.divmod(best[split], len(span) - 1)
     line = xs[split, feat]
     at = np.arange(len(split))
-    cut = 0.5 * (line[at, boundary + 1] + line[at, boundary])
+    lo, hi = line[at, boundary], line[at, boundary + 1]
+    with np.errstate(over="ignore"):
+        cut = 0.5 * (hi + lo)
+    cut = np.where((lo <= cut) & (cut < hi), cut, lo)
     # the rows at or below the cut, a prefix of the sorted line
     left_size = np.minimum((line <= cut[:, None]).sum(axis=1), sizes[split])
     left_ones = ones[split, feat, left_size - 1].astype(int)
@@ -494,17 +519,23 @@ def grow_forests(jobs: Iterable[tuple["RandomForest", np.ndarray, np.ndarray]]) 
 
     Trees grow in groups of at most _GROUP that share one width, so a
     forest whose trees span groups is fitted when the last of them ends.
-    Each tree has its own generator (Breiman, Mach. Learn. 2001), which
-    draws its bootstrap when its group starts and then serves only that
-    tree's candidate draws, so the trees are those grown one at a time;
-    each records the depth it reached, for the fitted forest's walk.
+    Tree t of a forest grows from the generator SeedSequence(seed)
+    .spawn(n_trees)[t] (Breiman, Mach. Learn. 2001), which draws the
+    tree's bootstrap and then serves only its candidate draws, so tree t
+    of every forest with the same seed and row count draws the same
+    bootstrap and reads the same candidates: each (seed, t, n) draws its
+    bootstrap once a call, and each (seed, t, n, width) its candidate
+    sets once (_Candidates), and the trees are those grown one at a time.
+    Each tree records the depth it reached, for the fitted forest's walk.
     Jobs are read as the groups fill: the inputs held are those of the
     trees not yet grown, at most _GROUP - 1 trees' worth a width,
-    besides the growing group's.
+    besides the growing group's; the shared draws grow with the distinct
+    keys, not with the forests.
     """
     forests, inputs, trees = [], [], []
     queues: dict[int, list[tuple[int, int]]] = {}
-    spawned: dict[tuple[int, int], list] = {}
+    bootstraps: dict[tuple[int, int, int], tuple[np.ndarray, _Candidates]] = {}
+    draws: dict[tuple[int, int, int, int], _Candidates] = {}
 
     def grow(queue):
         group, queue[:] = queue[:_GROUP], queue[_GROUP:]
@@ -513,18 +544,24 @@ def grow_forests(jobs: Iterable[tuple["RandomForest", np.ndarray, np.ndarray]]) 
         offsets = dict(zip(members, np.cumsum([0] + [len(inputs[p][1]) for p in members])))
         x = np.concatenate([inputs[p][0] for p in members] + [np.full((1, width), np.inf)])
         y = np.concatenate([inputs[p][1] for p in members] + [np.zeros(1)])
-        order = np.empty(sum(len(inputs[p][1]) for p, _ in group), dtype=np.intp)
-        grown, start = [], 0
+        picks, reads = [], []
         for position, t in group:
-            forest = forests[position]
-            n = len(inputs[position][1])
-            rng = np.random.default_rng(spawned[forest.seed, forest.n_trees][t])
-            pick = rng.integers(0, n, size=n)
-            order[start : start + n] = pick + offsets[position]
-            root = (start, start + n, int(inputs[position][1][pick].sum()), 0, -1, 0)
-            trees[position][t] = _Tree(rng, forest.max_depth, root)
+            seed, n = forests[position].seed, len(inputs[position][1])
+            if (seed, t, n) not in bootstraps:
+                rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t,)))
+                bootstraps[seed, t, n] = rng.integers(0, n, size=n), _Candidates(rng)
+            pick, stream = bootstraps[seed, t, n]
+            if (seed, t, n, width) not in draws:
+                draws[seed, t, n, width] = _Candidates(stream.rng, stream.bits)
+            picks.append(pick + offsets[position])
+            reads.append(draws[seed, t, n, width])
+        order = np.concatenate(picks)
+        starts = np.cumsum([0] + [len(pick) for pick in picks]).tolist()
+        ones = np.add.reduceat(y.take(order), starts[:-1]).astype(int).tolist()
+        grown = []
+        for (position, t), read, start, stop, count in zip(group, reads, starts, starts[1:], ones):
+            trees[position][t] = _Tree(forests[position].max_depth, (start, stop, count, 0, -1, 0), read)
             grown.append(trees[position][t])
-            start += n
         _grow_group(x, y, order, grown, max(1, int(np.sqrt(width))))
         for position in members:
             if None not in trees[position]:
@@ -539,10 +576,6 @@ def grow_forests(jobs: Iterable[tuple["RandomForest", np.ndarray, np.ndarray]]) 
             raise InputError("X has no columns")
         y = as_label_vector(y, len(x))
         _require_two_classes(y)
-        if (forest.seed, forest.n_trees) not in spawned:
-            spawned[forest.seed, forest.n_trees] = np.random.SeedSequence(forest.seed).spawn(
-                forest.n_trees
-            )
         forests.append(forest)
         inputs.append((x, y))
         trees.append([None] * forest.n_trees)  # each set when its group starts

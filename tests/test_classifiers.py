@@ -384,7 +384,9 @@ def oracle_grow(x, y, rng, max_depth, per_split, depth=0):
                 continue
             score = oracle_gini(ys, boundary)
             if score < best[2]:
-                best = (feat, 0.5 * (xs[boundary] + xs[boundary - 1]), score)
+                lo, hi = float(xs[boundary - 1]), float(xs[boundary])
+                cut = 0.5 * (hi + lo)  # Python floats overflow to inf silently
+                best = (feat, cut if lo <= cut < hi else lo, score)
     if best[0] is None:
         return OracleNode(label=majority)
     feat, cut, _ = best
@@ -483,7 +485,8 @@ CHOICE_PAIRS = [(width, size) for width in range(1, 41) for size in range(1, wid
 
 
 def replay_tree(rng):
-    return classifiers_mod._Tree(rng, 12, None)
+    # the candidate sets a tree index draws, replayed on rng's stream
+    return classifiers_mod._Candidates(rng)
 
 
 def test_candidate_draws_replay_generator_choice():
@@ -591,6 +594,26 @@ def test_a_row_at_a_split_threshold_goes_left():
     assert differ
 
 
+@pytest.mark.parametrize(
+    "a,b",
+    [
+        (1.0000000000000002, np.nextafter(1.0000000000000002, 10)),  # the midpoint rounds to b
+        (1e308, 1.5e308),  # a + b overflows to inf
+        (-1.5e308, -1e308),  # a + b overflows to -inf
+    ],
+    ids=["rounds_up", "overflows", "overflows_negative"],
+)
+def test_a_split_between_adjacent_values_cuts_at_the_lower_one(a, b):
+    # a midpoint at or past b would send every row left, and the node
+    # would split the same way down to max_depth
+    x = np.array([[a], [b], [a], [b]])
+    y = np.array([0.0, 1.0, 0.0, 1.0])
+    forest = RandomForest(n_trees=1, max_depth=3, seed=0).fit(x, y)
+    assert forest.feature_.tolist() == [0, -1, -1]
+    assert forest.threshold_[0] == a
+    assert forest.predict_scores(x).tolist() == y.tolist()
+
+
 def test_a_depth_zero_forest_walks_no_level():
     x = np.random.default_rng(42).normal(size=(30, 2))
     y = (np.arange(30) % 3 == 0).astype(float)
@@ -679,6 +702,15 @@ def together_fixtures():
         [(two, np.array([0.0, 1.0]), 5, 12, s) for s in (0, 4)] + [(wide, labels, 5, 12, 0)],
         id="n_equals_2",
     )
+    # tree t of every forest with one seed and n shares its bootstrap,
+    # whatever the forest's size, and its candidate sets at each width
+    yield pytest.param([
+        (wide, labels, 3, 12, 6),
+        (narrow, labels, 8, 12, 6),
+        (wide[::-1], labels[::-1], 8, 12, 6),
+        (narrow[::-1], labels[::-1], 3, 2, 6),
+        (wide, labels, 8, 0, 6),
+    ], id="shared_draws")
 
 
 @pytest.mark.parametrize("group,step_rows", [(3, 16), (64, classifiers_mod._STEP_ROWS)])
@@ -693,6 +725,31 @@ def test_forests_grown_together_match_each_alone(problems, group, step_rows, mon
     for want, got in zip(alone, together):
         for a, b in zip(forest_arrays(want), forest_arrays(got)):
             assert a.dtype == b.dtype and a.tolist() == b.tolist()
+
+
+def test_forests_of_one_seed_and_size_draw_each_bootstrap_once(monkeypatch):
+    # 20 eight-tree forests with one seed on 86 rows: one generator, and
+    # so one bootstrap, per tree index, not per tree
+    rng = np.random.default_rng(78)
+    problems = []
+    for _ in range(20):
+        x = np.round(rng.normal(size=(86, 9)), 1)
+        y = (x[:, 0] + rng.normal(size=86) > 0.5).astype(float)
+        y[:2] = [0.0, 1.0]
+        problems.append((x, y, 8, 12, 4))
+    alone = [RandomForest(n_trees=t, max_depth=d, seed=s).fit(x, y) for x, y, t, d, s in problems]
+    made, make = [], np.random.default_rng
+
+    def counted(seed):
+        made.append(seed)
+        return make(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    together = grow_together(problems)
+    assert len(made) == 8
+    for want, got in zip(alone, together):
+        for a, b in zip(forest_arrays(want), forest_arrays(got)):
+            assert a.tolist() == b.tolist()
 
 
 def traced_growth(count, n=86, width=9):

@@ -684,8 +684,12 @@ def test_search_writes_the_same_bytes_on_one_worker_and_two(tmp_path, monkeypatc
         return draw_chunk(*args)
 
     monkeypatch.setattr(search_mod, "_draw_chunk", logging_draw)
+    # a forest's trees share their draws within a chunk, so its points
+    # must not depend on how the chunks fall to workers either
     cfg = small_synthetic_config(
-        tmp_path, out=tmp_path / "unused", extra_classifiers="  - {kind: naive_bayes}\n"
+        tmp_path,
+        out=tmp_path / "unused",
+        extra_classifiers="  - {kind: naive_bayes}\n  - {kind: forest, params: {n_trees: 4}}\n",
     )
     written = {}
     for workers in (1, 2):
@@ -701,7 +705,7 @@ def test_search_writes_the_same_bytes_on_one_worker_and_two(tmp_path, monkeypatc
             for name in os.listdir(out)
             if name.startswith(("points_", "pareto_", "optimal"))
         }
-    assert len(written[1]) == 7  # two point streams, four fronts, optimal.csv
+    assert len(written[1]) == 10  # three point streams, six fronts, optimal.csv
     assert written[2] == written[1]
 
 
