@@ -128,33 +128,23 @@ def _moved(source: tuple[int, int], target: tuple[int, int], knob: float) -> tup
     return _radd(_rmul(source, _rsub((1, 1), k)), _rmul(target, k))
 
 
-def _exact_targets(
-    c: QuadrantCounts, params: BalanceParams
-) -> tuple[tuple[int, int], tuple[int, int], tuple[int, int]]:
-    # each target follows from one knob, so a grid search meets the
-    # same few values again and again: _moved caches them
-    return (
-        _moved((c.privileged, c.total), (1, 2), params.alpha),
-        _moved((c.favourable, c.total), (1, 2), params.beta),
-        _moved((c.p_f * c.unprivileged, c.privileged * c.up_f), (1, 1), params.gamma),
-    )
-
-
 def _reduced(x: tuple[int, int]) -> tuple[int, int]:
     g = math.gcd(*x)
     return (x[0] // g, x[1] // g)
 
 
 def _group_parts(c: QuadrantCounts, alpha: float, gamma: float) -> tuple[tuple[int, int], ...]:
-    """(P', 1 - P', A'/d, 1/d) with d = (1 - P') + A' P', reduced: the
-    plan's parts that depend only on (alpha, gamma). d > 0 because
-    A' > 0 and 0 < P' < 1."""
+    """(P', 1 - P', A'/d, 1/d, A') with d = (1 - P') + A' P', reduced:
+    the plan's parts that depend only on (alpha, gamma). d > 0 because
+    A' > 0 and 0 < P' < 1. Each target follows from one knob, so a grid
+    search meets the same few values again and again: _moved caches
+    them."""
     one = (1, 1)
     P = _moved((c.privileged, c.total), (1, 2), alpha)
     A = _moved((c.p_f * c.unprivileged, c.privileged * c.up_f), (1, 1), gamma)
     Q = _rsub(one, P)
     d = _radd(Q, _rmul(A, P))
-    return _reduced(P), _reduced(Q), _reduced(_rdiv(A, d)), _reduced(_rdiv(one, d))
+    return _reduced(P), _reduced(Q), _reduced(_rdiv(A, d)), _reduced(_rdiv(one, d)), _reduced(A)
 
 
 def _ratios_from(
@@ -162,7 +152,7 @@ def _ratios_from(
 ) -> tuple[tuple[int, int], tuple[int, int], tuple[tuple[int, int], ...]]:
     """(F'_p, F'_up, (r_p_f, r_p_uf, r_up_f, r_up_uf)) from _group_parts
     and the favourable-share target F': F'_p = F' A'/d, F'_up = F'/d."""
-    P, Q, a_over_d, over_d = parts
+    P, Q, a_over_d, over_d, _ = parts
     f_p = _rmul(F, a_over_d)
     f_up = _rmul(F, over_d)
     if f_p[0] > f_p[1] or f_up[0] > f_up[1]:
@@ -180,15 +170,6 @@ def _ratios_from(
     return f_p, f_up, ratios
 
 
-def _exact_ratios(
-    c: QuadrantCounts, params: BalanceParams
-) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
-    """Returns ((P', F', A', F'_p, F'_up), (r_p_f, r_p_uf, r_up_f, r_up_uf))."""
-    P, F, A = _exact_targets(c, params)
-    f_p, f_up, ratios = _ratios_from(_group_parts(c, params.alpha, params.gamma), F)
-    return (P, F, A, f_p, f_up), ratios
-
-
 def plan_ratios(
     c: QuadrantCounts, params: Sequence[BalanceParams]
 ) -> tuple[np.ndarray, list[str | None]]:
@@ -197,9 +178,8 @@ def plan_ratios(
     or compute_plan's InfeasibleError text (its row is then 0).
 
     The parts that depend on (alpha, gamma) are computed once per
-    distinct pair. Every ratio is the same exact rational as
-    compute_plan's, and int true division rounds correctly, so the
-    floats agree.
+    distinct pair; compute_plan builds its ratios from the same parts,
+    so the floats agree.
     """
     _check_counts(c)
     rows: list[tuple[float, ...]] = []
@@ -230,7 +210,10 @@ def compute_plan(c: QuadrantCounts, params: BalanceParams) -> SamplingPlan:
     shares admit); such points simply have no valid plan.
     """
     _check_counts(c)
-    (P, F, A, f_p, f_up), ratios = _exact_ratios(c, params)
+    parts = _group_parts(c, params.alpha, params.gamma)
+    P, A = parts[0], parts[4]
+    F = _moved((c.favourable, c.total), (1, 2), params.beta)
+    f_p, f_up, ratios = _ratios_from(parts, F)
     return SamplingPlan(
         counts=c,
         params=params,
@@ -249,7 +232,8 @@ def compute_plan(c: QuadrantCounts, params: BalanceParams) -> SamplingPlan:
 def quadrant_bounds(c: QuadrantCounts, params: BalanceParams) -> dict[str, int | None]:
     """floor(count / ratio) per quadrant; None where the ratio is 0."""
     _check_counts(c)
-    _, ratios = _exact_ratios(c, params)
+    F = _moved((c.favourable, c.total), (1, 2), params.beta)
+    _, _, ratios = _ratios_from(_group_parts(c, params.alpha, params.gamma), F)
     out: dict[str, int | None] = {}
     for name, count, (num, den) in zip(QUADRANT_NAMES, c.as_tuple(), ratios):
         out[name] = None if num == 0 else count * den // num

@@ -720,51 +720,55 @@ class TrainedModel:
         return self.estimator.predict_scores(self.pipeline.transform(d))
 
 
-def _unfitted(spec: ClassifierSpec, train: Dataset) -> tuple[TrainedModel, np.ndarray, np.ndarray]:
-    """A model whose pipeline is fitted on train and whose estimator is
-    not yet, with the (x, y) the estimator is to be fitted on."""
-    pipeline = FeaturePipeline().fit(train)
-    x = pipeline.transform(train)
-    y = train.unfavourable.astype(float)
-    _require_two_classes(y)
-    estimator = build_estimator(spec, pipeline.categorical_blocks())
-    return TrainedModel(spec=spec, pipeline=pipeline, estimator=estimator), x, y
-
-
 def fit(spec: ClassifierSpec, train: Dataset) -> TrainedModel:
-    model, x, y = _unfitted(spec, train)
-    model.estimator.fit(x, y)
+    """spec's model of train, through a pipeline fitted on it: fit_each
+    with one job."""
+    pipeline = FeaturePipeline().fit(train)
+    job = (pipeline, pipeline.transform(train), train.unfavourable.astype(float))
+    ((_, model),) = fit_each(spec, [job])
+    if isinstance(model, TrainingError):
+        raise model
     return model
 
 
 def fit_each(
-    spec: ClassifierSpec, samples: Iterable[Dataset]
+    spec: ClassifierSpec, jobs: Iterable[tuple[FeaturePipeline, np.ndarray, np.ndarray]]
 ) -> Iterator[tuple[int, TrainedModel | TrainingError]]:
-    """(i, fit(spec, sample i)) for every sample, or (i, the
-    TrainingError that fit raised), as each model is done.
+    """(i, the model of job i) for every job (pipeline, x, y), or (i,
+    the TrainingError its fit raised), as each model is done. x is the
+    pipeline's transform of a training set and y its 0/1 labels; the
+    model holds the pipeline and spec's estimator, built with the
+    pipeline's one-hot blocks and fitted on (x, y).
 
-    Every sample must hold both labels (search._draw_chunk fails the
-    others first); a forest's one-label sample raises TrainingError.
+    Every job must hold both labels (search._draw_chunk fails the
+    others first); a forest's one-label job raises TrainingError.
     Forests are grown together through grow_forests, which reads the
-    samples as its groups fill; every other kind is fitted one sample
-    at a time. Either way a sample's model is the one fit gives it.
+    jobs as its groups fill; every other kind is fitted one job at a
+    time. Either way a job's model is the one it gets alone.
     """
+
+    def unfitted(pipeline: FeaturePipeline, y: np.ndarray) -> TrainedModel:
+        _require_two_classes(y)
+        estimator = build_estimator(spec, pipeline.categorical_blocks())
+        return TrainedModel(spec=spec, pipeline=pipeline, estimator=estimator)
+
     if not isinstance(build_estimator(spec), RandomForest):
-        for i, sample in enumerate(samples):
+        for i, (pipeline, x, y) in enumerate(jobs):
             try:
-                yield i, fit(spec, sample)
+                model = unfitted(pipeline, y)
+                model.estimator.fit(x, y)
             except TrainingError as exc:
-                yield i, exc
+                model = exc
+            yield i, model
         return
-    models: list[TrainedModel | None] = []  # per sample, until yielded
+    models: list[TrainedModel | None] = []  # per job, until yielded
 
-    def jobs():
-        for sample in samples:
-            model, x, y = _unfitted(spec, sample)
-            models.append(model)
-            yield model.estimator, x, y
+    def forests():
+        for pipeline, x, y in jobs:
+            models.append(unfitted(pipeline, y))
+            yield models[-1].estimator, x, y
 
-    for position in grow_forests(jobs()):
+    for position in grow_forests(forests()):
         yield position, models[position]
         models[position] = None
 

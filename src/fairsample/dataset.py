@@ -56,6 +56,8 @@ class Schema:
             raise SchemaError("duplicate feature names")
         if self.label in names:
             raise SchemaError("label column cannot also be a feature")
+        if self.sensitive == self.label:
+            raise SchemaError("label column cannot also be the sensitive column")
         if self.favourable == self.unfavourable:
             raise SchemaError("favourable and unfavourable label values must differ")
         given = (self.privileged_value is not None) + (self.privileged_min is not None)
@@ -456,6 +458,14 @@ def one_hot(values: np.ndarray, categories: Sequence[str]) -> np.ndarray:
     return (values[:, None] == np.asarray(categories, dtype=object)[None, :]).astype(float)
 
 
+def _moments(values: np.ndarray) -> tuple[float, float]:
+    """A numeric column's mean and scale: its standard deviation, or 1
+    where that is 0 or the column is empty, so standardising stays finite."""
+    if not len(values):
+        return 0.0, 1.0
+    return float(values.mean()), float(values.std()) or 1.0
+
+
 class FeaturePipeline:
     """One-hot encoding plus standardisation, fitted on training data.
 
@@ -479,13 +489,7 @@ class FeaturePipeline:
         col = 0
         for f in d.schema.features:
             if f.kind == "numeric":
-                values = d.columns[f.name]
-                mean = float(values.mean()) if len(values) else 0.0
-                scale = float(values.std()) if len(values) else 1.0
-                if scale == 0.0:
-                    scale = 1.0
-                means[f.name] = mean
-                scales[f.name] = scale
+                means[f.name], scales[f.name] = _moments(d.columns[f.name])
                 blocks.append(FeatureBlock(f.name, "numeric", col, col + 1))
                 col += 1
             else:
@@ -529,24 +533,32 @@ class FeaturePipeline:
                 ) / self.scales_[block.name]
         return encoded
 
-    def columns_in(self, wider: "FeaturePipeline") -> list[int]:
-        """The columns of wider.encode(d) that make up encode(d), for a
-        pipeline wider fitted on the same features with every category
-        this one has, such as one fitted on a superset of its rows.
-        Categories are sorted, so each one-hot block is wider's block
-        restricted to this pipeline's categories."""
+    def fit_sample(self, encoded: np.ndarray) -> tuple["FeaturePipeline", list[int]]:
+        """The pipeline fit gives a sample of the rows this one was fitted
+        on, from encode's matrix of the sample's rows in the sample's
+        order, and the columns of that matrix that make up the sample
+        pipeline's encode. A numeric column's mean and scale are taken on
+        a contiguous copy of it, as fit takes them. A one-hot block keeps
+        the categories whose column is non-zero in the sample: categories
+        are sorted, so these are fit's, in fit's order."""
         check_fitted(self, "blocks_")
-        if wider.features_ != self.features_:
-            raise SchemaError("pipelines are fitted on different features")
-        blocks = {b.name: b for b in wider.blocks_}
+        sample = FeaturePipeline()
+        sample.features_, sample.means_, sample.scales_ = self.features_, {}, {}
+        blocks: list[FeatureBlock] = []
         columns: list[int] = []
         for block in self.blocks_:
-            outer = blocks[block.name]
+            start, categories = len(columns), None
             if block.kind == "numeric":
-                columns.append(outer.start)
+                values = np.ascontiguousarray(encoded[:, block.start])
+                sample.means_[block.name], sample.scales_[block.name] = _moments(values)
+                columns.append(block.start)
             else:
-                columns.extend(outer.start + outer.categories.index(c) for c in block.categories)
-        return columns
+                kept = np.flatnonzero(encoded[:, block.start : block.stop].any(axis=0)).tolist()
+                columns.extend(block.start + i for i in kept)
+                categories = tuple(block.categories[i] for i in kept)
+            blocks.append(FeatureBlock(block.name, block.kind, start, len(columns), categories))
+        sample.blocks_ = tuple(blocks)
+        return sample, columns
 
     def categorical_blocks(self) -> tuple[tuple[int, int], ...]:
         """(start, stop) column ranges of the one-hot blocks."""

@@ -10,17 +10,18 @@ the whole fine lattice, so sample size never varies between points.
 
 Evaluation is pluggable: the default evaluator samples, trains and
 scores real models, while tests inject analytic stubs through the same
-seam. Linear (logistic, svm) fits, on numeric and categorical features
-alike, go through one vectorised kernel a chunk of tasks at a time,
-with the one-hot categories fixed on the training split; a chunk's
-forests grow together, their trees in lockstep. A level's
-chunks run in forked worker processes, one per usable CPU at most, and
-return tables of counts from which the search builds every point.
-All ordering is deterministic; per-point seeds hash the global seed
-with the fine-lattice indices, so a point revisited at level 1 reuses
-exactly the sample it had at level 0. A full search therefore trains a
-linear (logistic, svm) model at each lattice point once and re-scores
-level 0's fits at level 1.
+seam. It encodes the training split and the evaluation set once, with
+one feature pipeline fitted on the split, and every sample is its rows
+of that encoding. Linear (logistic, svm) fits go through one vectorised
+kernel a chunk of tasks at a time; a chunk's forests grow together,
+their trees in lockstep. A level's chunks run in forked worker
+processes, one per usable CPU at most, and return tables of counts
+from which the search builds every point. All ordering is
+deterministic; per-point seeds hash the global seed with the
+fine-lattice indices, so a point revisited at level 1 reuses exactly
+the sample it had at level 0. A full search therefore trains a linear
+(logistic, svm) model at each lattice point once and re-scores level
+0's fits at level 1.
 """
 from __future__ import annotations
 
@@ -702,7 +703,8 @@ def _chunk_results(run: Callable[[int], Any], count: int) -> Iterator[Iterator[A
 
 def _batched_linear(
     d_train: Dataset,
-    d_eval: Dataset,
+    split: FeaturePipeline,
+    encoded: tuple[np.ndarray, np.ndarray],
     template: _GradientDescent,
     size: int,
     sweep: _ThresholdSweep,
@@ -711,26 +713,25 @@ def _batched_linear(
     """Linear (logistic, svm) evaluation of a chunk of tasks through one
     batched fit with template's settings and loss.
 
-    One-hot categories are fixed once on the training split, so two raw
-    matrices built once serve every task. A category a sample lacks is
-    an all-zero column whose weight stays exactly 0 (its gradient and L2
-    term are 0), so the fit matches one on the sample's own one-hot
-    encoding. Numeric columns are standardised per sample and one-hot
-    columns stay 0/1, as in FeaturePipeline; the standardisation is
-    folded into the weights as an affine change of basis, so one matrix
-    product scores a block of tasks. Only the order of float operations
-    differs from fitting each sample through FeaturePipeline.
+    encoded holds split's encodings of the training split and the
+    evaluation set, and a task reads its sample's rows of the first. A
+    category a sample lacks is an all-zero column whose weight stays
+    exactly 0 (its gradient and L2 term are 0), so the fit matches one
+    on the sample's own one-hot encoding. Numeric columns are
+    standardised per sample and one-hot columns stay 0/1, as in
+    FeaturePipeline; the standardisation is folded into the weights as
+    an affine change of basis, so one matrix product scores a block of
+    tasks. Only the order of float operations differs from fitting each
+    sample through FeaturePipeline.
 
     A task found in reuse_fits is re-scored from its recorded fit (or
     keeps its recorded failure) without drawing or fitting; a chunk's
     table carries the fits of its scored tasks.
     """
-    pipeline = FeaturePipeline().fit(d_train)
-    train_matrix = pipeline.encode(d_train)
-    eval_matrix = pipeline.encode(d_eval)
+    train_matrix, eval_matrix = encoded
     width = train_matrix.shape[1]
     one_hot_columns = np.zeros(width, dtype=bool)
-    for start, stop in pipeline.categorical_blocks():
+    for start, stop in split.categorical_blocks():
         one_hot_columns[start:stop] = True
     train_labels = d_train.unfavourable.astype(float)
     # fit_logistic_batch's settings after the stacks, in its order
@@ -794,28 +795,10 @@ def _batched_linear(
     return run_chunk
 
 
-def _eval_matrices(d_train: Dataset, d_eval: Dataset) -> Callable[[FeaturePipeline], np.ndarray]:
-    """A function from a pipeline fitted on a sample of d_train to its
-    transform of d_eval, bit for bit, from one encoding of d_eval.
-
-    d_eval is encoded once with the training split's pipeline, as in
-    _batched_linear. A sample's categories are a sorted subset of the
-    split's, so the columns of its own categories are its own one-hot
-    blocks (FeaturePipeline.columns_in), and its numeric columns are
-    standardised by transform's own expression (standardise).
-    """
-    split = FeaturePipeline().fit(d_train)
-    encoded = split.encode(d_eval)
-
-    def transform(pipeline: FeaturePipeline) -> np.ndarray:
-        return pipeline.standardise(encoded.take(pipeline.columns_in(split), axis=1))
-
-    return transform
-
-
 def _fitted_each(
     d_train: Dataset,
-    d_eval: Dataset,
+    split: FeaturePipeline,
+    encoded: tuple[np.ndarray, np.ndarray],
     spec: ClassifierSpec,
     size: int,
     sweep: _ThresholdSweep,
@@ -823,35 +806,46 @@ def _fitted_each(
     """Evaluation of a chunk of tasks by fitting each two-label sample
     through classifiers.fit_each, which grows a chunk's forests together.
 
+    A sample's job is its rows of the training split's encoding, which
+    split.fit_sample turns into the sample's own pipeline and columns.
     Each model is scored as soon as it is fitted, and dropped: its
-    estimator scores its pipeline's matrix of the evaluation set, built
-    by _eval_matrices from one encoding of that set. Its scores, checked
-    by checked_scores, go to the sweep with up to _SWEEP_BLOCK other
-    tasks' at a time. A model that fails to fit or to score leaves its
-    task a _TRAINING_ERROR.
+    estimator scores its columns of the evaluation set's encoding,
+    standardised by its pipeline. Its scores, checked by checked_scores,
+    go to the sweep with up to _SWEEP_BLOCK other tasks' at a time. A
+    model that fails to fit or to score leaves its task a
+    _TRAINING_ERROR.
     """
-    eval_matrix = _eval_matrices(d_train, d_eval)
+    train_x, eval_x = encoded
+    train_y = d_train.unfavourable.astype(float)
 
     def run_chunk(chunk: list[Task]) -> _ChunkTable:
         rows, failures = _draw_chunk(d_train, chunk, size)
         fitted = [k for k, failure in enumerate(failures) if failure is None]
+        kept: list[list[int]] = []  # per sample, the split columns its pipeline encodes
+
+        def jobs() -> Iterator[tuple[FeaturePipeline, np.ndarray, np.ndarray]]:
+            for sample in rows:
+                x = train_x[sample]
+                pipeline, columns = split.fit_sample(x)
+                kept.append(columns)
+                yield pipeline, pipeline.standardise(x[:, columns]), train_y[sample]
 
         def blocks() -> Iterator[tuple[list[int], np.ndarray]]:
-            tasks, columns = [], []
-            for i, model in fit_each(spec, (d_train.take(sample) for sample in rows)):
+            tasks, scores = [], []
+            for i, model in fit_each(spec, jobs()):
                 try:
                     if isinstance(model, TrainingError):
                         raise model
-                    x = eval_matrix(model.pipeline)
-                    columns.append(checked_scores(spec.kind, model.estimator.predict_scores(x), len(x)))
+                    x = model.pipeline.standardise(eval_x.take(kept[i], axis=1))
+                    scores.append(checked_scores(spec.kind, model.estimator.predict_scores(x), len(x)))
                     tasks.append(fitted[i])
                 except TrainingError as exc:
                     failures[fitted[i]] = (_TRAINING_ERROR, str(exc))
                 if len(tasks) == _SWEEP_BLOCK:
-                    yield tasks, np.column_stack(columns)
-                    tasks, columns = [], []
+                    yield tasks, np.column_stack(scores)
+                    tasks, scores = [], []
             if tasks:
-                yield tasks, np.column_stack(columns)
+                yield tasks, np.column_stack(scores)
 
         return _chunk_table(sweep, chunk, failures, blocks())
 
@@ -869,12 +863,14 @@ def make_model_evaluator(
 ) -> Evaluator:
     """The real evaluator: sample, train, score, pick the threshold.
 
-    Tasks run in chunks of _CHUNK through one pipeline. _draw_chunk
-    draws a chunk's samples in one pass and turns a plan or quota that
-    does not fit, or a sample of one label, into the task's failure. The
-    route then fits the two-label samples and scores them: linear
-    (logistic, svm) specs, numeric or categorical, through the batched
-    descent kernel (_batched_linear), every other kind through
+    One FeaturePipeline fitted on d_train encodes d_train and d_eval
+    once, and both routes read every sample as its rows of that
+    encoding. Tasks run in chunks of _CHUNK, each through the same
+    steps. _draw_chunk draws a chunk's samples in one pass and turns a
+    plan or quota that does not fit, or a sample of one label, into the
+    task's failure. The route then fits the two-label samples and scores
+    them: linear (logistic, svm) specs through the batched descent
+    kernel (_batched_linear), every other kind through
     classifiers.fit_each, which grows a chunk's forests together
     (_fitted_each). _chunk_table sweeps the scores a block of tasks at a
     time and returns the chunk's _ChunkTable of counts, outcome codes
@@ -892,10 +888,12 @@ def make_model_evaluator(
     check_int(size, "sample size", 1)
     sweep = _ThresholdSweep(d_eval, weights)
     template = build_estimator(spec)
+    split = FeaturePipeline().fit(d_train)
+    encoded = split.encode(d_train), split.encode(d_eval)
     if isinstance(template, _GradientDescent):
-        run_chunk = _batched_linear(d_train, d_eval, template, size, sweep, reuse_fits)
+        run_chunk = _batched_linear(d_train, split, encoded, template, size, sweep, reuse_fits)
     else:
-        run_chunk = _fitted_each(d_train, d_eval, spec, size, sweep)
+        run_chunk = _fitted_each(d_train, split, encoded, spec, size, sweep)
 
     def evaluate(tasks: list[Task]) -> list[EvaluationPoint]:
         chunks = [tasks[start : start + _CHUNK] for start in range(0, len(tasks), _CHUNK)]

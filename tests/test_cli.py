@@ -217,6 +217,31 @@ def test_schema_without_features_is_a_config_error(tmp_path):
         assert "at least one feature" in result.output
 
 
+def test_label_as_sensitive_column_is_a_config_error(tmp_path):
+    data = tmp_path / "d.csv"
+    data.write_text("x,y\n" + "".join(f"{i},{i % 2}\n" for i in range(40)))
+    out = tmp_path / "never_written"
+    cfg = write_config(
+        tmp_path / "label_sensitive.yaml",
+        f"""\
+        dataset: {{csv: {data}}}
+        schema:
+          features: [{{name: x, kind: numeric}}]
+          label: y
+          favourable: "0"
+          unfavourable: "1"
+          sensitive: y
+          privileged_value: "1"
+        out: {out}
+        """,
+    )
+    for command in ("search", "plan"):
+        result = runner.invoke(main, [command, "--config", cfg])
+        assert result.exit_code == 2, (command, result.output)
+        assert "sensitive column" in result.output
+        assert not out.exists()  # rejected before any work
+
+
 @pytest.mark.parametrize(
     "classifier,fragment",
     [

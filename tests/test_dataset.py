@@ -158,6 +158,15 @@ def test_schema_validation():
             sensitive="s",
             privileged_value="a",
         )
+    with pytest.raises(SchemaError, match="sensitive column"):
+        Schema(
+            features=(FeatureSpec("x", "numeric"),),
+            label="y",
+            favourable="0",
+            unfavourable="1",
+            sensitive="y",
+            privileged_value="1",
+        )
     with pytest.raises(SchemaError):
         FeatureSpec("x", "ordinal")
 

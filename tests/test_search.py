@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import fairsample.search as search_mod
-from fairsample.balance import BalanceParams, compute_plan, materialize_sample
+from fairsample.balance import BalanceParams, compute_plan, materialize_sample, sample_indices
 from fairsample.base import InfeasibleError, InputError, SearchError, TrainingError
 from fairsample.classifiers import (
     ClassifierSpec,
@@ -798,21 +798,37 @@ def region_only(d):
 ENCODING_CORPORA = {**CORPORA, "categorical_only": (region_only(CAT_TRAIN), region_only(CAT_EVAL))}
 
 
+def fitted_parts(pipeline):
+    return pipeline.blocks_, pipeline.means_, pipeline.scales_, pipeline.categorical_blocks()
+
+
 @pytest.mark.parametrize("corpus", sorted(ENCODING_CORPORA))
-def test_eval_matrix_is_each_samples_own_transform(corpus):
+def test_fit_sample_is_each_samples_own_fit(corpus):
     # samples that miss the rare training value "c" (as mixed-csv's
-    # kiosk) have one one-hot column fewer; "z" is never seen in training
+    # kiosk) have one one-hot column fewer; "z" is never seen in
+    # training. The last sample has more rows than numpy's 8,192-element
+    # reduction buffer, so a numpy that summed a strided column unlike a
+    # contiguous one would show here.
     d_train, d_eval = ENCODING_CORPORA[corpus]
-    eval_matrix = search_mod._eval_matrices(d_train, d_eval)
+    split = FeaturePipeline().fit(d_train)
+    train_x, eval_x = split.encode(d_train), split.encode(d_eval)
     counts = quadrant_counts(d_train)
+    samples = [
+        sample_indices(d_train, compute_plan(counts, params), SIZE, seed)
+        for params, _, seed in model_tasks() + model_tasks(global_seed=4)
+    ]
+    samples.append(np.random.default_rng(9).integers(0, len(d_train), 9000))
     widths = set()
-    for params, _, seed in model_tasks() + model_tasks(global_seed=4):
-        sample = materialize_sample(d_train, compute_plan(counts, params), SIZE, seed)
-        pipeline = FeaturePipeline().fit(sample)
-        want, got = pipeline.transform(d_eval), eval_matrix(pipeline)
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
-        widths.add(got.shape[1])
+    for rows in samples:
+        sample = d_train.take(rows)
+        want = FeaturePipeline().fit(sample)
+        got, columns = split.fit_sample(train_x[rows])
+        assert fitted_parts(got) == fitted_parts(want)
+        for x, d in ((train_x[rows], sample), (eval_x, d_eval)):
+            matrix, expected = got.standardise(x[:, columns]), want.transform(d)
+            assert matrix.dtype == expected.dtype and matrix.shape == expected.shape
+            assert matrix.tobytes() == expected.tobytes()
+        widths.add(len(columns))
     assert len(widths) == (1 if corpus == "numeric" else 2)
 
 
