@@ -308,78 +308,6 @@ _GROUP = 64
 _STEP_ROWS = 1 << 14
 
 
-def _choice_bounds(width: int, size: int) -> tuple[int, ...]:
-    """The exclusive bounds of the draws Generator.choice(width, size,
-    replace=False) makes, in order: Floyd's steps j = width - size, ...,
-    width - 1 (Bentley & Floyd, CACM 1987), each in [0, j], where j = 0
-    draws nothing; then its shuffle's draws in [0, i] for i = size - 1,
-    ..., 1. numpy takes another branch, a tail shuffle, when width >
-    10,000 and size > width // 50; a forest's size is int(sqrt(width)),
-    which exceeds width // 50 only below width 2,500, so that branch
-    never runs here."""
-    floyd = [j + 1 for j in range(width - size, width) if j > 0]
-    return tuple(floyd + [i + 1 for i in range(size - 1, 0, -1)])
-
-
-class _Candidates:
-    """The candidate sets one tree index draws at one width, in order:
-    sets[i] is the set its i-th splitting node in pre-order takes.
-
-    Tree t of every forest with one seed starts from the same generator,
-    SeedSequence(seed).spawn(n_trees)[t], and with the same row count n
-    draws the same bootstrap. After it, the generator serves only the
-    tree's candidate draws, and set i depends only on that stream, the
-    bounds and i; so the trees that share (seed, t, n, width) share one
-    list, which the deepest of them fills (candidates). The draws read
-    the generator's 32-bit stream, bits[at:], fetched in bulk with
-    random_raw: numpy's next_uint32, which is the half-word the
-    bootstrap left buffered, if any, then each 64-bit word's low half and
-    then its high half. Readers of one generator at other widths share
-    rng and bits, each with its own position at; bits only grows."""
-
-    __slots__ = ("rng", "bits", "at", "sets")
-
-    def __init__(self, rng, bits=None):
-        if bits is None:
-            state = rng.bit_generator.state
-            bits = [state["uinteger"]] if state["has_uint32"] else []
-        self.rng, self.bits, self.at, self.sets = rng, bits, 0, []
-
-    def _refill(self, need: int) -> None:
-        """At least need more half-words at bits[at:], and 64 to spare,
-        so that a stream is fetched in a few calls."""
-        words = self.rng.bit_generator.random_raw(32 + need // 2)
-        self.bits.extend(np.asarray(words, dtype="<u8").view("<u4").tolist())
-
-    def candidates(self, width: int, size: int, bounds: tuple[int, ...]) -> list[int]:
-        """sorted(self.rng.choice(width, size, replace=False)), replayed
-        on the stream with bounds = _choice_bounds(width, size): each
-        draw in [0, r) is Lemire's (ACM TOMACS 2019), (u * r) >> 32 for
-        the next half-word u, redrawn while the low 32 bits of u * r fall
-        below 2**32 % r. The shuffle's draws are made only to be used
-        up, since the set is what the grower keeps."""
-        if len(self.bits) - self.at < len(bounds):
-            self._refill(len(bounds))
-        bits, at = self.bits, self.at
-        values = []
-        for r in bounds:
-            m = bits[at] * r
-            at += 1
-            if m & 0xFFFFFFFF < r:  # rarely, a draw to reject
-                while m & 0xFFFFFFFF < 0x100000000 % r:
-                    if at == len(bits):
-                        self._refill(1)
-                    m = bits[at] * r
-                    at += 1
-            values.append(m >> 32)
-        self.at = at
-        first = width - size
-        chosen = {0} if first == 0 else set()
-        for j, value in zip(range(max(first, 1), width), values):
-            chosen.add(j if value in chosen else value)
-        return sorted(chosen)
-
-
 class _Tree:
     """A tree in growth: its depth limit, the deepest depth it has
     reached, its nodes so far as a flat float array of [feature,
@@ -387,8 +315,10 @@ class _Tree:
     grow, each (start, stop, ones, depth, parent, side): the node's rows
     are order[start:stop] of its group, ones of them labelled 1, and its
     index goes to column side (2 left, 3 right) of its parent's row.
-    Its splitting nodes take the candidate sets of draws in turn; used
-    counts those taken."""
+    draws is the (generator, sets) pair its tree index shares at its
+    width (grow_forests): its splitting nodes take sets in turn, used
+    counts those taken, and a node past the end of sets draws the next
+    set from the generator."""
 
     __slots__ = ("max_depth", "depth", "nodes", "stack", "draws", "used")
 
@@ -405,8 +335,9 @@ def _grow_group(x, y, order, trees, per_split) -> None:
 
     Each step advances every tree depth-first, left before right, past
     its leaves to its next node that may split, so each tree numbers its
-    nodes and takes its candidate features (its draws' next set, drawn
-    when no tree has yet) exactly as when grown alone, and scores those
+    nodes and takes its candidate features (its draws' next set,
+    sorted(generator.choice(width, per_split, replace=False)), drawn when
+    no tree has yet) exactly as when grown alone, and scores those
     nodes together, largest first, in calls of at most _STEP_ROWS padded
     rows. In a call, the nodes' candidate columns, padded with the
     sentinel to the largest node, are sorted together, and cumulative
@@ -423,7 +354,6 @@ def _grow_group(x, y, order, trees, per_split) -> None:
     itself, so a row that reaches it stays there.
     """
     width = x.shape[1]
-    bounds = _choice_bounds(width, per_split)
     live = list(trees)
     while live:
         batch = []
@@ -438,11 +368,11 @@ def _grow_group(x, y, order, trees, per_split) -> None:
                         tree.depth = depth
                 nodes.extend((-1, 0.0, index, index, 1.0 if ones * 2 > stop - start else 0.0))
                 if depth < tree.max_depth and 0 < ones < stop - start:
-                    sets, used = tree.draws.sets, tree.used
-                    if used == len(sets):
-                        sets.append(tree.draws.candidates(width, per_split, bounds))
-                    tree.used = used + 1
-                    batch.append((tree, index, start, stop, ones, depth, sets[used]))
+                    rng, sets = tree.draws
+                    if tree.used == len(sets):
+                        sets.append(sorted(rng.choice(width, per_split, replace=False).tolist()))
+                    batch.append((tree, index, start, stop, ones, depth, sets[tree.used]))
+                    tree.used += 1
                     break
         batch.sort(key=lambda node: node[2] - node[3])  # largest first
         while batch:
@@ -523,9 +453,11 @@ def grow_forests(jobs: Iterable[tuple["RandomForest", np.ndarray, np.ndarray]]) 
     .spawn(n_trees)[t] (Breiman, Mach. Learn. 2001), which draws the
     tree's bootstrap and then serves only its candidate draws, so tree t
     of every forest with the same seed and row count draws the same
-    bootstrap and reads the same candidates: each (seed, t, n) draws its
-    bootstrap once a call, and each (seed, t, n, width) its candidate
-    sets once (_Candidates), and the trees are those grown one at a time.
+    bootstrap and the same candidates: each (seed, t, n) draws its
+    bootstrap once a call and keeps the generator's state after it, and
+    each (seed, t, n, width) reads its candidate sets, once, from its own
+    generator set to that state. So the trees are those grown one at a
+    time, each set being Generator.choice on the tree's own generator.
     Each tree records the depth it reached, for the fitted forest's walk.
     Jobs are read as the groups fill: the inputs held are those of the
     trees not yet grown, at most _GROUP - 1 trees' worth a width,
@@ -534,8 +466,8 @@ def grow_forests(jobs: Iterable[tuple["RandomForest", np.ndarray, np.ndarray]]) 
     """
     forests, inputs, trees = [], [], []
     queues: dict[int, list[tuple[int, int]]] = {}
-    bootstraps: dict[tuple[int, int, int], tuple[np.ndarray, _Candidates]] = {}
-    draws: dict[tuple[int, int, int, int], _Candidates] = {}
+    bootstraps: dict[tuple[int, int, int], tuple[np.ndarray, dict]] = {}
+    draws: dict[tuple[int, int, int, int], tuple[np.random.Generator, list[list[int]]]] = {}
 
     def grow(queue):
         group, queue[:] = queue[:_GROUP], queue[_GROUP:]
@@ -549,10 +481,12 @@ def grow_forests(jobs: Iterable[tuple["RandomForest", np.ndarray, np.ndarray]]) 
             seed, n = forests[position].seed, len(inputs[position][1])
             if (seed, t, n) not in bootstraps:
                 rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(t,)))
-                bootstraps[seed, t, n] = rng.integers(0, n, size=n), _Candidates(rng)
-            pick, stream = bootstraps[seed, t, n]
+                bootstraps[seed, t, n] = rng.integers(0, n, size=n), rng.bit_generator.state
+            pick, state = bootstraps[seed, t, n]
             if (seed, t, n, width) not in draws:
-                draws[seed, t, n, width] = _Candidates(stream.rng, stream.bits)
+                reader = np.random.Generator(np.random.PCG64())  # its seed is overwritten
+                reader.bit_generator.state = state
+                draws[seed, t, n, width] = reader, []
             picks.append(pick + offsets[position])
             reads.append(draws[seed, t, n, width])
         order = np.concatenate(picks)

@@ -405,12 +405,15 @@ def plan(config_path, seed, out_dir, alpha, beta, gamma, preset):
             raise ConfigError("give either --preset or the three knobs, not both")
     elif not all(explicit):
         raise ConfigError("plan needs --alpha, --beta and --gamma (or --preset)")
+    else:
+        with _section():
+            knobs = BalanceParams(alpha, beta, gamma)
 
     counts = quadrant_counts(_load_dataset(cfg))
     if preset is not None:
         resolved_plan = preset_plan(counts, preset)
     else:
-        resolved_plan = compute_plan(counts, BalanceParams(alpha, beta, gamma))
+        resolved_plan = compute_plan(counts, knobs)
     params = resolved_plan.params
     caps = quadrant_bounds(counts, params)
     point_bound = bound_at(counts, params)

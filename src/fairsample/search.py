@@ -113,6 +113,8 @@ class GridSpec:
         fine = _lattice_denominator(self.level1_step, "level1_step")
         if fine % coarse != 0:
             raise InputError("level1_step must subdivide level0_step evenly")
+        if fine < 2:  # no refined threshold would lie strictly inside (0, 1)
+            raise InputError("level1_step must be at most 0.5")
         check_int(self.top_k, "top_k", 1)
         if self.neighborhood is not None:
             check_number(self.neighborhood, "neighborhood", 0.0, 1.0, "(]")

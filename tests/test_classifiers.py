@@ -479,73 +479,6 @@ def test_forest_matches_quadratic_oracle(x, y, depth):
 
 
 # ---------------------------------------------------------------------------
-# candidate draws: Generator.choice replayed on the tree's raw stream
-
-CHOICE_PAIRS = [(width, size) for width in range(1, 41) for size in range(1, width + 1)]
-
-
-def replay_tree(rng):
-    # the candidate sets a tree index draws, replayed on rng's stream
-    return classifiers_mod._Candidates(rng)
-
-
-def test_candidate_draws_replay_generator_choice():
-    # 200 seeds; each generator, after a bootstrap of even or odd
-    # length, draws every (width, size) pair of widths 1-40 in turn,
-    # from a seed-rotated start, so each pair is checked at 200 stream
-    # positions
-    buffered = set()
-    for seed in range(200):
-        rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-        n = (2, 3, 4, 5, 86, 87)[seed % 6]
-        assert np.array_equal(rng.integers(0, n, size=n), reference.integers(0, n, size=n))
-        buffered.add(rng.bit_generator.state["has_uint32"])
-        tree = replay_tree(rng)
-        start = 7 * seed % len(CHOICE_PAIRS)
-        for width, size in CHOICE_PAIRS[start:] + CHOICE_PAIRS[:start]:
-            got = tree.candidates(width, size, classifiers_mod._choice_bounds(width, size))
-            want = reference.choice(width, size=size, replace=False)
-            assert got == sorted(want.tolist()), (seed, width, size)
-    # odd bootstraps leave half a word buffered, even ones do not
-    assert buffered == {0, 1}
-
-
-@pytest.mark.parametrize("width,size", [(3, 1), (9, 3), (40, 6), (2, 2), (17, 17)])
-def test_candidate_draws_reject_as_lemire_does(width, size):
-    # a buffered half-word of 0 gives u * r a low half of 0, below
-    # 2**32 % r for every r but a power of two, so numpy draws again
-    for seed in range(20):
-        rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-        for generator in (rng, reference):
-            state = generator.bit_generator.state
-            state.update(has_uint32=1, uinteger=0)
-            generator.bit_generator.state = state
-        tree = replay_tree(rng)
-        bounds = classifiers_mod._choice_bounds(width, size)
-        for _ in range(3):
-            want = sorted(reference.choice(width, size=size, replace=False).tolist())
-            assert tree.candidates(width, size, bounds) == want
-
-
-def test_grower_draws_no_candidates_through_choice(monkeypatch):
-    x, y = np.random.default_rng(3).normal(size=(40, 9)), np.arange(40) % 2
-    want = RandomForest(n_trees=3, seed=1).fit(x, y)
-    make = np.random.default_rng
-
-    class WithoutChoice:
-        """A tree's generator, less choice."""
-
-        def __init__(self, seed):
-            generator = make(seed)
-            self.bit_generator, self.integers = generator.bit_generator, generator.integers
-
-    monkeypatch.setattr(np.random, "default_rng", WithoutChoice)
-    got = RandomForest(n_trees=3, seed=1).fit(x, y)
-    for a, b in zip(forest_arrays(want), forest_arrays(got)):
-        assert a.tolist() == b.tolist()
-
-
-# ---------------------------------------------------------------------------
 # the walk at its edges
 
 
@@ -711,6 +644,12 @@ def together_fixtures():
         (narrow[::-1], labels[::-1], 3, 2, 6),
         (wide, labels, 8, 0, 6),
     ], id="shared_draws")
+    # an odd bootstrap leaves half a word buffered in the generator, and
+    # each width's reader starts from it
+    yield pytest.param([
+        (wide[:59], labels[:59], 8, 12, 6),
+        (narrow[:59], labels[:59], 8, 12, 6),
+    ], id="shared_draws_odd_rows")
 
 
 @pytest.mark.parametrize("group,step_rows", [(3, 16), (64, classifiers_mod._STEP_ROWS)])

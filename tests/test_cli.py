@@ -113,6 +113,11 @@ def test_config_rejections(tmp_path):
         ),
         (
             "dataset: {synthetic: {quadrants: [10, 10, 10, 10]}}\n"
+            "grid: {level0_step: 1.0, level1_step: 1.0}\n",
+            "level1_step must be at most 0.5",
+        ),
+        (
+            "dataset: {synthetic: {quadrants: [10, 10, 10, 10]}}\n"
             "split: {fractions: [a, b]}\n",
             "split.fractions",
         ),
@@ -526,6 +531,26 @@ def test_plan_rejects_mixed_or_missing_knobs(tmp_path):
         ["plan", "--config", cfg, "--preset", "double-balanced", "--alpha", "0.5"],
     )
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "knobs,name",
+    [
+        (("2", "0.5", "0.5"), "alpha"),
+        (("nan", "0.5", "0.5"), "alpha"),
+        (("0.5", "inf", "0.5"), "beta"),
+        (("0.5", "0.5", "-0.5"), "gamma"),
+    ],
+)
+def test_plan_rejects_knobs_outside_the_unit_interval(tmp_path, knobs, name):
+    out = tmp_path / "never_written"
+    cfg = write_example_corpus(tmp_path)
+    alpha, beta, gamma = knobs
+    args = ["plan", "--config", cfg, "--out", str(out)]
+    result = runner.invoke(main, args + ["--alpha", alpha, "--beta", beta, "--gamma", gamma])
+    assert result.exit_code == 2, result.output
+    assert f"{name} must be a finite number in [0, 1]" in result.output
+    assert not out.exists()  # rejected before any work
 
 
 def test_plan_empty_quadrant_is_a_data_error(tmp_path):

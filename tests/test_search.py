@@ -180,6 +180,10 @@ def test_grid_spec_rejects_bad_knobs():
         GridSpec(thresholds=(0.5, 1.0))
     with pytest.raises(InputError, match="neighborhood"):
         GridSpec(neighborhood=1.5)
+    # level 1 refines thresholds strictly inside (0, 1): none at step 1.0
+    with pytest.raises(InputError, match="level1_step must be at most 0.5"):
+        GridSpec(level0_step=1.0, level1_step=1.0)
+    assert search_mod._refined_thresholds(0.5, GridSpec(level0_step=1.0, level1_step=0.5)) == (0.5,)
 
 
 def test_neighborhood_must_align_with_fine_step():
