@@ -479,6 +479,88 @@ def test_forest_matches_quadratic_oracle(x, y, depth):
 
 
 # ---------------------------------------------------------------------------
+# candidate draws: Generator.choice on the tree's stream after its bootstrap
+
+
+@pytest.fixture
+def drawn_sets(monkeypatch):
+    """The candidate sets of each tree grown while the fixture is in use,
+    one list a tree, in the order the trees start."""
+    drawn = []
+
+    class Recorded(classifiers_mod._Tree):
+        __slots__ = ()
+
+        def __init__(self, max_depth, root, draws):
+            super().__init__(max_depth, root, draws)
+            drawn.append(draws[1])
+
+    monkeypatch.setattr(classifiers_mod, "_Tree", Recorded)
+    return drawn
+
+
+def tree_stream(seed, t, n, generator=np.random.default_rng):
+    # tree t's generator, after its bootstrap of n rows
+    rng = generator(np.random.SeedSequence(seed).spawn(t + 1)[t])
+    rng.integers(0, n, size=n)
+    return rng
+
+
+def test_candidate_draws_replay_generator_choice(drawn_sets):
+    # 40 forests of widths 1-40, after bootstraps of even or odd length:
+    # each tree's sets are those Generator.choice draws on its own stream
+    buffered = set()
+    for seed in range(40):
+        n, width = (40, 41, 86, 87)[seed % 4], 1 + 7 * seed % 40
+        x, y = np.random.default_rng(seed).normal(size=(n, width)), np.arange(n) % 2
+        drawn_sets.clear()
+        RandomForest(n_trees=3, max_depth=4, seed=seed).fit(x, y)
+        assert len(drawn_sets) == 3 and all(drawn_sets)
+        per_split = max(1, int(np.sqrt(width)))
+        for t, sets in enumerate(drawn_sets):
+            rng = tree_stream(seed, t, n)
+            buffered.add(rng.bit_generator.state["has_uint32"])
+            want = [sorted(rng.choice(width, per_split, replace=False).tolist()) for _ in sets]
+            assert sets == want, (seed, t)
+    # odd bootstraps leave half a word buffered, even ones do not
+    assert buffered == {0, 1}
+
+
+class ZeroBuffered:
+    """A tree's generator whose bootstrap leaves a half-word of 0 buffered."""
+
+    make = staticmethod(np.random.default_rng)
+
+    def __init__(self, seed):
+        self.generator = self.make(seed)
+        self.bit_generator = self.generator.bit_generator
+
+    def integers(self, *args, **kwargs):
+        pick = self.generator.integers(*args, **kwargs)
+        state = self.bit_generator.state
+        state.update(has_uint32=1, uinteger=0)
+        self.bit_generator.state = state
+        return pick
+
+
+@pytest.mark.parametrize("width,size", [(3, 1), (9, 3), (40, 6)])
+def test_candidate_draws_reject_as_lemire_does(width, size, drawn_sets, monkeypatch):
+    # a buffered half-word of 0 gives u * r a low half of 0, below
+    # 2**32 % r for every r but a power of two, so numpy draws again:
+    # the sets match only if each width's reader keeps that half-word
+    monkeypatch.setattr(np.random, "default_rng", ZeroBuffered)
+    for seed in range(10):
+        n = 30 + seed
+        x, y = np.random.Generator(np.random.PCG64(seed)).normal(size=(n, width)), np.arange(n) % 2
+        drawn_sets.clear()
+        RandomForest(n_trees=2, max_depth=3, seed=seed).fit(x, y)
+        for t, sets in enumerate(drawn_sets):
+            rng = tree_stream(seed, t, n, ZeroBuffered).generator
+            assert sets and all(len(candidates) == size for candidates in sets)
+            assert sets == [sorted(rng.choice(width, size, replace=False).tolist()) for _ in sets]
+
+
+# ---------------------------------------------------------------------------
 # the walk at its edges
 
 
