@@ -587,8 +587,9 @@ class RandomForest:
             right = flat.take(row_start + feature.take(live)) > threshold.take(live)
             # clip mode writes in place; every index is a node already
             child.take(2 * live + right, out=live, mode="clip")
-        # the votes are 0s and 1s, so their sum is exact in any order
-        return self.label_.take(node).sum(axis=0) / self.n_trees
+        # the votes are 0s and 1s, so their sum is exact in any order;
+        # n_trees may have been reassigned since fit, so count the roots
+        return self.label_.take(node).sum(axis=0) / len(self.roots_)
 
 
 # ---------------------------------------------------------------------------

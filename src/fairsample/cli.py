@@ -76,7 +76,6 @@ from .dataset import (
 )
 from .metrics import LossWeights, MetricReport, metric_report, render
 from .search import (
-    EvaluationPoint,
     GridSpec,
     full_search,
     inspect_point,
@@ -544,7 +543,7 @@ def search(config_path, seed, out_dir):
     for label, spec in zip(cfg.labels, cfg.classifiers):
         points_name = f"points_{label}.jsonl"
         with open(os.path.join(cfg.out, points_name), "w") as stream:
-            def sink(point: EvaluationPoint, line: str) -> None:
+            def sink(line: str) -> None:
                 stream.write(line + "\n")
 
             result = full_search(

@@ -14,9 +14,11 @@ seam. It encodes the training split and the evaluation set once, with
 one feature pipeline fitted on the split, and every sample is its rows
 of that encoding. Linear (logistic, svm) fits go through one vectorised
 kernel a chunk of tasks at a time; a chunk's forests grow together,
-their trees in lockstep. A level's chunks run in forked worker
-processes, one per usable CPU at most, and return tables of counts
-from which the search builds every point. All ordering is
+their trees in lockstep. A level's tasks are a table of lattice cells,
+and its chunks run in forked worker processes, one per usable CPU at
+most: each worker builds its own chunk's tasks and returns a table of
+counts, which the search writes into the level's columns. A point
+object is built only when it is read. All ordering is
 deterministic; per-point seeds hash the global seed with the
 fine-lattice indices, so a point revisited at level 1 reuses exactly
 the sample it had at level 0. A full search therefore trains a linear
@@ -32,8 +34,9 @@ import json
 import operator
 import os
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -67,7 +70,6 @@ from .metrics import (
     MetricReport,
     report_columns,
     report_from_counts,
-    reports_from_columns,
 )
 
 # A task is (params, candidate thresholds, sampling seed). An
@@ -76,10 +78,10 @@ from .metrics import (
 # loss (lowest threshold on ties; the first threshold, carrying its
 # degenerate report or error, when no threshold is valid).
 Task = tuple[BalanceParams, tuple[float, ...], int]
-Evaluator = Callable[[list[Task]], list["EvaluationPoint"]]
-# receives each point of a level in sort order, with its point-stream
-# line: json.dumps(point.to_dict(), sort_keys=True)
-Sink = Callable[["EvaluationPoint", str], None]
+Evaluator = Callable[[Sequence[Task]], Sequence["EvaluationPoint"]]
+# receives the point-stream line of each point of a level, in sort
+# order: json.dumps(point.to_dict(), sort_keys=True)
+Sink = Callable[[str], None]
 
 
 def threshold_grid(thresholds: Sequence[float], name: str = "thresholds") -> tuple[float, ...]:
@@ -254,20 +256,53 @@ _METRIC_BLOCK = (
 )
 
 
-class _Level(list):
-    """Points with their numbers, which sort, write and front a level.
+# MetricReport's fields, in its own order, as columns of _Level.numbers
+_REPORT_COLUMNS = [_COLUMN[name] for name in _METRIC_NAMES]
+
+
+class _Level(Sequence):
+    """A level's points as columns, which sort, write and front it.
 
     Row k of numbers holds point k's alpha, beta, gamma, metrics and
     threshold in to_dict's sorted key order, NaN where a value is None;
-    plain says that each of them is a Python float or None. The model
-    evaluator returns a _Level built from its arrays; any other list of
-    points has its numbers read off its objects (_Level.of).
+    plain says that each of them is a Python float or None.
+
+    The model evaluator's level (_Level.table) is all columns: with the
+    numbers, each row's task (index into tasks, whose item gives the
+    row's knobs object), seed and error (index into texts, -1 for a
+    scored task), and the level's kind and size. Point k is built when
+    it is read, so a level costs no object per point until it is
+    iterated. Any other list of points is held as it is, with its
+    numbers read off its objects (_Level.of).
     """
 
-    def __init__(self, points: Iterable[EvaluationPoint], numbers: np.ndarray, plain: bool):
-        super().__init__(points)
+    # the columns of an evaluator's level, set by table
+    tasks: Sequence[Task]
+    index: np.ndarray  # int, the task of each row
+    seeds: list[int]
+    error: np.ndarray  # int32 index into texts, -1 for none
+    texts: list[str]
+    kind: str
+    size: int
+
+    def __init__(
+        self, numbers: np.ndarray, plain: bool, points: list[EvaluationPoint] | None = None
+    ):
         self.numbers = numbers
         self.plain = plain
+        self.points = points
+
+    @classmethod
+    def table(cls, tasks: Sequence[Task], kind: str, size: int) -> "_Level":
+        """The level of an evaluator's tasks, every row NaN until
+        _chunk_points writes it."""
+        level = cls(np.full((len(tasks), _THRESHOLD + 1), np.nan), True)
+        level.tasks, level.kind, level.size = tasks, kind, size
+        level.index = np.arange(len(tasks))
+        level.seeds = [0] * len(tasks)
+        level.error = np.full(len(tasks), -1, dtype=np.int32)
+        level.texts = []
+        return level
 
     @classmethod
     def of(cls, points: Iterable[EvaluationPoint]) -> "_Level":
@@ -282,16 +317,40 @@ class _Level(list):
         ]
         plain = set(map(type, itertools.chain.from_iterable(rows))) <= {float, type(None)}
         numbers = np.array(rows, dtype=float).reshape(len(rows), _THRESHOLD + 1)
-        return cls(points, numbers, plain)
+        return cls(numbers, plain, points)
 
-    def sort_by_key(self) -> None:
-        """Sort the points, and their numbers with them, in place into
-        EvaluationPoint.sort_key order: one stable np.lexsort over
-        sort_key's columns."""
+    def __len__(self) -> int:
+        return len(self.numbers)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(len(self)))]
+        if self.points is not None:
+            return self.points[k]
+        values = [None if v != v else v for v in self.numbers[k].tolist()]
+        error = int(self.error[k])
+        return EvaluationPoint(
+            params=self.tasks[int(self.index[k])][0],
+            threshold=values[_THRESHOLD],
+            classifier_kind=self.kind,
+            report=MetricReport(*[values[c] for c in _REPORT_COLUMNS]) if error < 0 else None,
+            size=self.size,
+            seed=self.seeds[k],
+            error=self.texts[error] if error >= 0 else None,
+        )
+
+    def __iter__(self) -> Iterator[EvaluationPoint]:
+        if self.points is not None:
+            return iter(self.points)
+        return map(self.__getitem__, range(len(self)))
+
+    def sort_order(self) -> np.ndarray:
+        """The rows in EvaluationPoint.sort_key order: one stable
+        np.lexsort over sort_key's columns."""
         numbers = self.numbers
         combined = numbers[:, _COMBINED]
         invalid = np.isnan(combined)
-        order = np.lexsort(
+        return np.lexsort(
             (
                 numbers[:, _THRESHOLD],
                 numbers[:, _GAMMA],
@@ -301,9 +360,30 @@ class _Level(list):
                 invalid,
             )
         )
-        self[:] = [self[i] for i in order.tolist()]
-        for column in numbers.T:  # a column at a time, so no second copy of the array
+
+    def sort_by_key(self) -> None:
+        """Sort the rows in place into sort_order."""
+        order = self.sort_order()
+        for column in self.numbers.T:  # a column at a time, so no second copy of the array
             column[:] = column[order]
+        rows = order.tolist()
+        if self.points is not None:
+            self.points = [self.points[i] for i in rows]
+        else:
+            self.index, self.error = self.index[order], self.error[order]
+            self.seeds = [self.seeds[i] for i in rows]
+
+    def _row_fields(self) -> Iterator[tuple[Any, Any, Any, str | None]]:
+        """Each row's (kind, seed, size, error), in row order."""
+        if self.points is not None:
+            return ((p.classifier_kind, p.seed, p.size, p.error) for p in self.points)
+        texts = [None, *self.texts]
+        return zip(
+            itertools.repeat(self.kind),
+            self.seeds,
+            itertools.repeat(self.size),
+            map(texts.__getitem__, (self.error + 1).tolist()),
+        )
 
     def lines(self) -> Iterator[str]:
         """json.dumps(p.to_dict(), sort_keys=True) for each point, with
@@ -312,19 +392,19 @@ class _Level(list):
         JSON writes a finite float as its repr, so a point whose numbers
         are plain and finite (a valid point), with int seed and size, a
         string kind and no error, fills one template; any other point
-        goes through json.dumps. Points share few distinct numbers, so
-        the template's texts are memoised: a knob's or threshold's by
-        its float's bit pattern, and a metric block's by the bit
-        patterns of its nine floats. Bit patterns keep -0.0 apart from
-        0.0. Points with equal metrics have equal combined loss, so in
-        sort order they mostly follow each other: the metric memo keeps
-        the last block only.
+        is built and goes through json.dumps. Points share few distinct
+        numbers, so the template's texts are memoised: a knob's or
+        threshold's by its float's bit pattern, and a metric block's by
+        the bit patterns of its nine floats. Bit patterns keep -0.0
+        apart from 0.0. Points with equal metrics have equal combined
+        loss, so in sort order they mostly follow each other: the metric
+        memo keeps the last block only.
         """
         quoted: dict[str, str] = {}
         knob_text: dict[int, str] = {}
         last_key, text = None, ""
+        fields = self._row_fields()
         for start in range(0, len(self), _LINE_BLOCK):
-            points = self[start : start + _LINE_BLOCK]
             numbers = self.numbers[start : start + _LINE_BLOCK]
             finite = np.isfinite(numbers).all(axis=1).tolist()
             knobs = numbers[:, _KNOB_COLUMNS]
@@ -337,16 +417,17 @@ class _Level(list):
             # one bytes object per row: its nine floats' bit patterns
             row_bytes = np.dtype((np.void, metrics.itemsize * metrics.shape[1]))
             metric_keys = metrics.view(row_bytes).ravel().tolist()
-            for i, (p, (a, b, g, t), key, templated) in enumerate(
-                zip(points, knob_bits.tolist(), metric_keys, finite)
+            # fields last: zip ends at the block's last row without
+            # reading the next block's first fields
+            for i, ((a, b, g, t), key, templated, (kind, seed, size, error)) in enumerate(
+                zip(knob_bits.tolist(), metric_keys, finite, fields)
             ):
-                kind = p.classifier_kind
                 if (
                     templated
                     and self.plain
-                    and p.error is None
-                    and type(p.seed) is int
-                    and type(p.size) is int
+                    and error is None
+                    and type(seed) is int
+                    and type(size) is int
                     and type(kind) is str
                 ):
                     if kind not in quoted:
@@ -355,10 +436,10 @@ class _Level(list):
                         last_key, text = key, _METRIC_BLOCK % tuple(metrics[i].tolist())
                     yield _LINE % (
                         knob_text[a], knob_text[b], quoted[kind], knob_text[g], text,
-                        p.seed, p.size, knob_text[t],
+                        seed, size, knob_text[t],
                     )
                 else:
-                    yield json.dumps(p.to_dict(), sort_keys=True)
+                    yield json.dumps(self[start + i].to_dict(), sort_keys=True)
 
     def front(self) -> tuple[EvaluationPoint, ...]:
         """pareto_front's points, ascending by (mcc_loss, di_loss)."""
@@ -402,7 +483,10 @@ def _threshold_columns(
     memo = {} if memo is None else memo
     if key not in memo:
         values = [np.asarray(ts, dtype=float) for ts in key]
-        union = np.unique(np.concatenate(values))
+        # np.unique's values, without the numpy.ma import that np.unique
+        # makes: thresholds lie in (0, 1), so no NaN or -0.0 sorts apart
+        joined = np.sort(np.concatenate(values))
+        union = joined[np.concatenate([[True], joined[1:] != joined[:-1]])]
         member = np.zeros((len(key), len(union)), dtype=bool)
         first = np.empty(len(key), dtype=np.int64)
         for row, ts in enumerate(values):
@@ -583,43 +667,34 @@ def _chunk_table(
 
 
 def _chunk_points(
-    chunk: list[Task],
-    table: _ChunkTable,
-    sweep: _ThresholdSweep,
-    kind: str,
-    size: int,
-    numbers: np.ndarray,
-) -> tuple[list[EvaluationPoint], bool]:
-    """The points of a chunk's tasks, built from its table, and whether
-    their numbers are plain (see _Level); numbers, NaN on entry, receives
-    their rows of _Level.numbers. Each point holds its task's own
-    BalanceParams."""
-    knobs = [_KNOBS(params) for params, _, _ in chunk]
+    chunk: Sequence[Task], table: _ChunkTable, sweep: _ThresholdSweep, level: _Level, start: int
+) -> None:
+    """Write the rows of a chunk's tasks into level, from row start on,
+    from the chunk's table: their knobs, seeds and thresholds, the
+    metrics of the scored tasks and the error of every other. No point
+    is built here (see _Level)."""
+    stop = start + len(chunk)
+    if isinstance(chunk, _Tasks):  # knobs and seeds read off the cells
+        knobs, seeds, plain = chunk.knobs(), chunk.seeds(), True
+    else:
+        knobs = [_KNOBS(params) for params, _, _ in chunk]
+        seeds = [seed for _, _, seed in chunk]
+        plain = set(map(type, itertools.chain.from_iterable(knobs))) <= {float}
+    numbers = level.numbers[start:stop]
     numbers[:, :3] = knobs
     numbers[:, _THRESHOLD] = table.threshold
-    reports: list[MetricReport | None] = [None] * len(chunk)
     scored = np.flatnonzero(table.outcome == _OK)
     if len(scored):
         fields = sweep.report_fields(table.counts[scored].astype(np.int64))
         numbers[scored, 3:_THRESHOLD] = np.column_stack([fields[i] for i in _SORTED_METRICS])
-        for k, report in zip(scored.tolist(), reports_from_columns(fields)):
-            reports[k] = report
-    errors = [None if e < 0 else table.errors[e] for e in table.error.tolist()]
-    points = [
-        EvaluationPoint(
-            params=params,
-            threshold=threshold,
-            classifier_kind=kind,
-            report=report,
-            size=size,
-            seed=seed,
-            error=error,
-        )
-        for (params, _, seed), threshold, report, error in zip(
-            chunk, table.threshold.tolist(), reports, errors
-        )
-    ]
-    return points, set(map(type, itertools.chain.from_iterable(knobs))) <= {float}
+    level.seeds[start:stop] = seeds
+    level.plain = level.plain and plain
+    # the chunk's error indices, moved onto the level's texts; -1 stays -1
+    for text in table.errors:
+        if text not in level.texts:
+            level.texts.append(text)
+    moved = np.array([level.texts.index(text) for text in table.errors] + [-1], dtype=np.int32)
+    level.error[start:stop] = moved[table.error]
 
 
 def _draw_chunk(
@@ -664,33 +739,34 @@ def _usable_cpus() -> int:
 
 
 # the chunk runner of the pool this worker process was forked for
-_worker_run: Callable[[int], Any] | None = None
+_worker_run: Callable[[Any], Any] | None = None
 
 
-def _start_worker(run: Callable[[int], Any]) -> None:
+def _start_worker(run: Callable[[Any], Any]) -> None:
     global _worker_run
     _worker_run = run
 
 
-def _run_in_worker(index: int) -> Any:
-    return _worker_run(index)
+def _run_in_worker(chunk: Any) -> Any:
+    return _worker_run(chunk)
 
 
 @contextlib.contextmanager
-def _chunk_results(run: Callable[[int], Any], count: int) -> Iterator[Iterator[Any]]:
-    """run(0), ..., run(count - 1), in order, each as soon as it and
+def _chunk_results(run: Callable[[Any], Any], chunks: Sequence[Any]) -> Iterator[Iterator[Any]]:
+    """run(chunk) for each of chunks, in order, each as soon as it and
     the ones before it are done.
 
     With more than one chunk and more than one usable CPU, the chunks
     run in a pool of up to one forked worker process per CPU. The
     workers inherit run, and with it everything the evaluator has built,
-    so only chunk indices go out and results come back. The pool lives
-    for the with block, so no worker outlives it, also when a chunk
-    raises; a worker's exception reaches the caller with its own type.
+    so only the chunks (a few numbers each) go out and results come
+    back. The pool lives for the with block, so no worker outlives it,
+    also when a chunk raises; a worker's exception reaches the caller
+    with its own type.
     """
-    workers = min(_usable_cpus(), count)
+    workers = min(_usable_cpus(), len(chunks))
     if workers <= 1:
-        yield map(run, range(count))
+        yield map(run, chunks)
         return
     # imported here, so that a run that never forks does not pay for them
     import multiprocessing
@@ -700,7 +776,7 @@ def _chunk_results(run: Callable[[int], Any], count: int) -> Iterator[Iterator[A
     with ProcessPoolExecutor(
         workers, mp_context=context, initializer=_start_worker, initargs=(run,)
     ) as pool:
-        yield pool.map(_run_in_worker, range(count))
+        yield pool.map(_run_in_worker, chunks)
 
 
 def _batched_linear(
@@ -876,11 +952,14 @@ def make_model_evaluator(
     classifiers.fit_each, which grows a chunk's forests together
     (_fitted_each). _chunk_table sweeps the scores a block of tasks at a
     time and returns the chunk's _ChunkTable of counts, outcome codes
-    and error indices, never point objects; evaluate builds every point
-    from its task and its table row (_chunk_points). A call with several
-    chunks runs them on worker processes, one per usable CPU at most
-    (_chunk_results), and merges their tables in chunk order, so results
-    depend neither on the chunk size nor on the number of workers.
+    and error indices, never point objects. A call with several chunks
+    runs them on worker processes, one per usable CPU at most
+    (_chunk_results): a chunk goes out as its (start, stop) and the
+    worker builds its tasks from tasks[start:stop]. evaluate writes
+    each table into the returned level's columns in chunk order
+    (_chunk_points), so results depend neither on the chunk size nor on
+    the number of workers; the level builds a point only when it is
+    read (_Level).
 
     For linear (logistic, svm) specs, keep_fits collects each task's
     fit (or failure) and reuse_fits supplies fits to re-score instead of
@@ -897,22 +976,19 @@ def make_model_evaluator(
     else:
         run_chunk = _fitted_each(d_train, split, encoded, spec, size, sweep)
 
-    def evaluate(tasks: list[Task]) -> list[EvaluationPoint]:
-        chunks = [tasks[start : start + _CHUNK] for start in range(0, len(tasks), _CHUNK)]
+    def evaluate(tasks: Sequence[Task]) -> _Level:
+        spans = [(start, start + _CHUNK) for start in range(0, len(tasks), _CHUNK)]
 
-        def run(index: int) -> _ChunkTable:
-            table = run_chunk(chunks[index])
+        def run(span: tuple[int, int]) -> _ChunkTable:
+            # a worker builds its own chunk's tasks
+            table = run_chunk(list(tasks[span[0] : span[1]]))
             return table if keep_fits is not None else table._replace(fits=None)
 
-        points: list[EvaluationPoint] = []
-        numbers = np.full((len(tasks), _THRESHOLD + 1), np.nan)
-        plain = True
-        with _chunk_results(run, len(chunks)) as results:
-            for chunk, table in zip(chunks, results):
-                rows = numbers[len(points) : len(points) + len(chunk)]
-                built, chunk_plain = _chunk_points(chunk, table, sweep, spec.kind, size, rows)
-                points.extend(built)
-                plain = plain and chunk_plain
+        level = _Level.table(tasks, spec.kind, size)
+        with _chunk_results(run, spans) as results:
+            for (start, stop), table in zip(spans, results):
+                chunk = tasks[start:stop]
+                _chunk_points(chunk, table, sweep, level, start)
                 if table.fits is not None:
                     fits = iter(table.fits)
                     for (params, _, seed), code, error in zip(
@@ -921,7 +997,7 @@ def make_model_evaluator(
                         keep_fits[(params, seed)] = (
                             next(fits) if code == _OK else (code, table.errors[error])
                         )
-        return _Level(points, numbers, plain)
+        return level
 
     return evaluate
 
@@ -954,26 +1030,56 @@ def _common_size(d_train: Dataset, grid: GridSpec) -> int:
     return max_sample_size(quadrant_counts(d_train), step=grid.level1_step)
 
 
-def _emit(points: list[EvaluationPoint], sink: Sink | None) -> _Level:
-    """The level's points in sort_key order, each passed to sink with
-    its line on the way."""
+def _emit(points: Sequence[EvaluationPoint], sink: Sink | None) -> _Level:
+    """The level's points in sort_key order, each point's line passed to
+    sink on the way."""
     ordered = _Level.of(points)
     ordered.sort_by_key()
     if sink is not None:
-        for p, line in zip(ordered, ordered.lines()):
-            sink(p, line)
+        for line in ordered.lines():
+            sink(line)
     return ordered
 
 
-def _tasks(
-    cells: Iterable[tuple[tuple[int, int, int], tuple[float, ...]]], denom: int, seed: int
-) -> list[Task]:
-    """The task of each (fine-lattice cell, thresholds): the cell's
-    knobs, its thresholds and the sampling seed of its coordinates."""
-    return [
-        (BalanceParams(a / denom, b / denom, g / denom), thresholds, point_seed(seed, a, b, g))
-        for (a, b, g), thresholds in cells
-    ]
+class _Tasks(Sequence):
+    """A level's tasks as a table of its fine-lattice cells: an (n, 3)
+    int array of cell coordinates, each cell's threshold tuple, the
+    lattice denominator and the global seed.
+
+    Item k is cell (a, b, g)'s task (BalanceParams(a / denom, b / denom,
+    g / denom), thresholds, point_seed(seed, a, b, g)), built when it is
+    read; a slice is the view of its cells, so a worker builds only its
+    own chunk's tasks, and the search process reads knobs and seeds
+    straight off the cells.
+    """
+
+    def __init__(
+        self, cells: np.ndarray, thresholds: Sequence[tuple[float, ...]], denom: int, seed: int
+    ):
+        self.cells, self.thresholds, self.denom, self.seed = cells, thresholds, denom, seed
+
+    def __len__(self) -> int:
+        return len(self.cells)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return _Tasks(self.cells[k], self.thresholds[k], self.denom, self.seed)
+        return self._task(self.cells[k].tolist(), self.thresholds[k])
+
+    def __iter__(self) -> Iterator[Task]:
+        return map(self._task, self.cells.tolist(), self.thresholds)
+
+    def _task(self, cell: list[int], thresholds: tuple[float, ...]) -> Task:
+        a, b, g = cell
+        d = self.denom
+        return BalanceParams(a / d, b / d, g / d), thresholds, point_seed(self.seed, a, b, g)
+
+    def knobs(self) -> np.ndarray:
+        # true division of small ints rounds as Python's a / d does
+        return self.cells / self.denom
+
+    def seeds(self) -> list[int]:
+        return [point_seed(self.seed, a, b, g) for a, b, g in self.cells.tolist()]
 
 
 def grid_search_level0(
@@ -985,7 +1091,7 @@ def grid_search_level0(
     size: int | None = None,
     evaluate: Evaluator | None = None,
     sink: Sink | None = None,
-) -> list[EvaluationPoint]:
+) -> Sequence[EvaluationPoint]:
     """Coarse sweep: full level-0 lattice crossed with the threshold grid.
 
     Returns one point per lattice cell (its best threshold), sorted by
@@ -997,9 +1103,11 @@ def grid_search_level0(
     if evaluate is None:
         evaluate = make_model_evaluator(d_train, d_eval, spec, grid.weights, size)
     ratio = grid.fine_denominator // grid.coarse_denominator
-    axis = [i * ratio for i in range(grid.coarse_denominator + 1)]
-    cells = ((cell, grid.thresholds) for cell in itertools.product(axis, repeat=3))
-    return _emit(evaluate(_tasks(cells, grid.fine_denominator, seed)), sink)
+    axis = np.arange(grid.coarse_denominator + 1) * ratio
+    # itertools.product's order: the last coordinate varies fastest
+    cells = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    tasks = _Tasks(cells, [grid.thresholds] * len(cells), grid.fine_denominator, seed)
+    return _emit(evaluate(tasks), sink)
 
 
 def _refined_thresholds(center: float, grid: GridSpec) -> tuple[float, ...]:
@@ -1012,7 +1120,7 @@ def _refined_thresholds(center: float, grid: GridSpec) -> tuple[float, ...]:
 
 
 def grid_search_level1(
-    level0: list[EvaluationPoint],
+    level0: Sequence[EvaluationPoint],
     d_train: Dataset,
     d_eval: Dataset,
     spec: ClassifierSpec,
@@ -1021,7 +1129,7 @@ def grid_search_level1(
     size: int | None = None,
     evaluate: Evaluator | None = None,
     sink: Sink | None = None,
-) -> list[EvaluationPoint]:
+) -> Sequence[EvaluationPoint]:
     """Fine sweep around the top level-0 points.
 
     Each neighborhood is the incumbent's coordinate box clipped to the
@@ -1030,8 +1138,11 @@ def grid_search_level1(
     from 0 and 1. Overlapping neighborhoods evaluate each lattice point
     once, with the union of the threshold lists that wanted it.
     """
-    winners = sorted((p for p in level0 if p.valid), key=EvaluationPoint.sort_key)
-    if not winners:
+    ranked = _Level.of(level0)
+    order = ranked.sort_order()
+    # the top valid rows, read off the numbers without building a point
+    winners = order[~np.isnan(ranked.numbers[order, _COMBINED])][: grid.top_k]
+    if not len(winners):
         raise SearchError("no valid level-0 point to refine around")
     if size is None:
         size = _common_size(d_train, grid)
@@ -1042,20 +1153,23 @@ def grid_search_level1(
     # a point holds its winner's threshold tuple, shared with the rest
     # of the neighbourhood; only overlaps build a union of their own
     wanted: dict[tuple[int, int, int], tuple[float, ...]] = {}
-    for p in winners[: grid.top_k]:
-        center = (
-            round(p.params.alpha * denom),
-            round(p.params.beta * denom),
-            round(p.params.gamma * denom),
-        )
-        thresholds = _refined_thresholds(p.threshold, grid)
+    for *knobs, threshold in ranked.numbers[winners][:, _KNOB_COLUMNS].tolist():
+        thresholds = _refined_thresholds(threshold, grid)
         spans = [
-            range(max(0, c - width), min(denom, c + width) + 1) for c in center
+            range(max(0, c - width), min(denom, c + width) + 1)
+            for c in (round(v * denom) for v in knobs)
         ]
         for point in itertools.product(*spans):
             held = wanted.get(point, thresholds)
             wanted[point] = held if held == thresholds else tuple(sorted({*held, *thresholds}))
-    return _emit(evaluate(_tasks(sorted(wanted.items()), denom, seed)), sink)
+    cells = sorted(wanted)
+    tasks = _Tasks(
+        np.array(cells, dtype=np.int64).reshape(len(cells), 3),
+        [wanted[cell] for cell in cells],
+        denom,
+        seed,
+    )
+    return _emit(evaluate(tasks), sink)
 
 
 # ---------------------------------------------------------------------------
@@ -1117,8 +1231,12 @@ def select_optimal(front: ParetoFront, weights: LossWeights) -> EvaluationPoint:
 
 @dataclass(frozen=True)
 class SearchResult:
-    level0: tuple[EvaluationPoint, ...]
-    level1: tuple[EvaluationPoint, ...]
+    """Both levels in sort order (level1 empty when level 0 had no valid
+    point), the level-1 front, its optimum and the common sample size.
+    A model evaluator's level builds each point when it is read."""
+
+    level0: Sequence[EvaluationPoint]
+    level1: Sequence[EvaluationPoint]
     front: ParetoFront
     best: EvaluationPoint | None
     size: int
@@ -1156,9 +1274,9 @@ def full_search(
     level0 = grid_search_level0(
         d_train, d_eval_level0, spec, grid, seed, size, eval0, sink
     )
-    if not any(p.valid for p in level0):
+    if np.isnan(level0.numbers[:, _COMBINED]).all():
         return SearchResult(
-            level0=tuple(level0),
+            level0=level0,
             level1=(),
             front=ParetoFront(points=()),
             best=None,
@@ -1177,8 +1295,8 @@ def full_search(
     front = pareto_front(level1)
     best = select_optimal(front, grid.weights) if len(front) else None
     return SearchResult(
-        level0=tuple(level0),
-        level1=tuple(level1),
+        level0=level0,
+        level1=level1,
         front=front,
         best=best,
         size=size,

@@ -350,6 +350,19 @@ def test_forest_scores_are_vote_fractions():
     assert np.allclose(votes, np.round(votes), atol=1e-9)
 
 
+def test_forest_scores_divide_by_the_fitted_tree_count():
+    # n_trees set after fit changes neither the trees nor their vote shares
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(40, 3))
+    y = (x[:, 0] > 0).astype(float)
+    forest = RandomForest(n_trees=4, max_depth=3, seed=1).fit(x, y)
+    want = forest.predict_scores(x[:5])
+    forest.n_trees = 2
+    got = forest.predict_scores(x[:5])
+    assert np.array_equal(got, want)
+    assert ((got >= 0.0) & (got <= 1.0)).all()
+
+
 # ---------------------------------------------------------------------------
 # the forest against a quadratic reference: one re-sliced Gini per
 # boundary, node objects, and a row-by-row walk

@@ -391,6 +391,29 @@ def test_python_dash_m_runs_the_cli():
     assert "search" in result.stdout
 
 
+def test_a_search_does_not_import_numpy_ma(tmp_path):
+    # np.unique reads np.ma.is_masked, which imports numpy.ma: about
+    # 25 ms that every forked worker of a level paid again
+    cfg = small_synthetic_config(tmp_path, out=tmp_path / "out")
+    src = os.path.dirname(os.path.dirname(fairsample.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    script = (
+        "import sys\n"
+        "from fairsample.cli import main\n"
+        "try:\n"
+        f"    main(['search', '--config', {cfg!r}])\n"
+        "except SystemExit as exit:\n"
+        "    assert exit.code in (0, None), exit.code\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "out" / "points_logistic.jsonl").exists()
+    assert result.stdout.split()[-1] == "False"
+
+
 def test_flags_override_config(tmp_path):
     cfg = small_synthetic_config(tmp_path, out="from_config", seed=5)
     loaded = load_config(cfg, seed=99, out=str(tmp_path / "flagged"))

@@ -605,7 +605,7 @@ def test_full_search_is_deterministic_and_sinks_everything():
     sunk = []
     first = full_search(
         None, None, None, None, GridSpec(), seed=4, size=10,
-        evaluators=(stub, stub), sink=lambda point, line: sunk.append((point, line)),
+        evaluators=(stub, stub), sink=sunk.append,
     )
     second = full_search(
         None, None, None, None, GridSpec(), seed=4, size=10, evaluators=(stub, stub)
@@ -615,8 +615,9 @@ def test_full_search_is_deterministic_and_sinks_everything():
     assert as_dicts(first.level1) == as_dicts(second.level1)
     assert as_dicts(first.front.points) == as_dicts(second.front.points)
     assert first.best.to_dict() == second.best.to_dict()
-    assert as_dicts(p for p, _ in sunk) == as_dicts(first.level0) + as_dicts(first.level1)
-    assert [line for _, line in sunk] == [json.dumps(d, sort_keys=True) for d in as_dicts(p for p, _ in sunk)]
+    # every line, in level order, is json.dumps of its returned point
+    points = list(first.level0) + list(first.level1)
+    assert sunk == [json.dumps(d, sort_keys=True) for d in as_dicts(points)]
     assert first.best == select_optimal(first.front, GridSpec().weights)
 
 
@@ -1383,6 +1384,101 @@ def test_built_points_match_the_per_task_route(monkeypatch):
             assert "degenerate" in kinds
         seen |= kinds
     assert seen == {"valid", "degenerate", "infeasible", "single_label", "training_error"}
+
+
+def test_a_lazy_level_sorts_and_reads_as_its_eager_points(monkeypatch):
+    # the level the evaluator returns builds no point until one is read;
+    # sorted, iterated, written and fronted, it must be the level of the
+    # points built eagerly from the same tables
+    d_train, d_eval, _ = REUSE_CORPORA["infeasible"]
+    size = 2
+    tasks = outcome_tasks()
+    tables = []
+    chunk_points = search_mod._chunk_points
+
+    def recording(chunk, table, *args):
+        tables.append((chunk, table))
+        return chunk_points(chunk, table, *args)
+
+    monkeypatch.setattr(search_mod, "_chunk_points", recording)
+    monkeypatch.setattr(search_mod, "_CHUNK", 8)
+    sweep = search_mod._ThresholdSweep(d_eval, WEIGHTS)
+    seen = set()
+    for name, spec in BUILD_SPECS.items():
+        tables.clear()
+        lazy = search_mod._emit(make_model_evaluator(d_train, d_eval, spec, WEIGHTS, size)(tasks), None)
+        assert lazy.points is None
+        eager = [
+            p for chunk, table in tables for p in per_task_points(chunk, table, sweep, spec.kind, size)
+        ]
+        codes = [code for _, table in tables for code in table.outcome.tolist()]
+        seen |= {outcome_name(p, code) for p, code in zip(eager, codes)}
+        want = search_mod._emit(eager, None)
+        assert [p.to_dict() for p in lazy] == [p.to_dict() for p in want], name
+        assert [lazy[k].to_dict() for k in (0, -1)] == [want[k].to_dict() for k in (0, -1)]
+        assert [p.to_dict() for p in lazy[2:5]] == [p.to_dict() for p in want[2:5]]
+        assert list(lazy.lines()) == [json.dumps(p.to_dict(), sort_keys=True) for p in want]
+        assert [p.to_dict() for p in lazy.front()] == [p.to_dict() for p in want.front()]
+    assert seen == {"valid", "degenerate", "infeasible", "single_label", "training_error"}
+
+
+def test_a_pooled_search_builds_only_the_points_it_returns(tmp_path, monkeypatch):
+    # the search process builds no task and no point per lattice point:
+    # only level 0's fit keys, the fronts' points and what they hold
+    import fairsample.balance as balance_mod
+    from click.testing import CliRunner
+
+    from fairsample.cli import main
+
+    monkeypatch.setattr(search_mod, "_CHUNK", 4)
+    monkeypatch.setattr(search_mod, "_usable_cpus", lambda: 2)
+    parent = os.getpid()
+    built = {"points": 0, "params": 0}
+
+    def counting(cls, key):
+        init = cls.__init__
+
+        def counted(self, *args, **kwargs):
+            if os.getpid() == parent:
+                built[key] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+
+    counting(EvaluationPoint, "points")
+    counting(balance_mod.BalanceParams, "params")
+    draw_chunk = search_mod._draw_chunk
+
+    def logging_draw(*args):
+        with open(tmp_path / "draws", "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return draw_chunk(*args)
+
+    monkeypatch.setattr(search_mod, "_draw_chunk", logging_draw)
+    (tmp_path / "draws").write_text("")
+    config = tmp_path / "cfg.yaml"
+    config.write_text(
+        "dataset:\n"
+        "  synthetic: {quadrants: [520, 60, 130, 40], bias: 1.0, noise: 1.0}\n"
+        "split: {fractions: [0.6, 0.2, 0.2], seed: 3}\n"
+        "grid: {level0_step: 0.25, level1_step: 0.125, top_k: 2, thresholds: [0.25, 0.5, 0.75]}\n"
+        "classifiers:\n  - {kind: logistic}\n"
+        f"out: {tmp_path / 'out'}\nseed: 11\n"
+    )
+    result = CliRunner().invoke(main, ["search", "--config", str(config)])
+    assert result.exit_code == 0, result.output
+    drawn_by = (tmp_path / "draws").read_text().split()
+    assert drawn_by and str(parent) not in drawn_by  # every chunk ran in a worker
+    lines = (tmp_path / "out" / "points_logistic.jsonl").read_text().splitlines()
+    fronts = sum(
+        len((tmp_path / "out" / f"pareto_level{n}_logistic.csv").read_text().splitlines()) - 1
+        for n in (0, 1)
+    )
+    level0_keys, winners, optimum = 5 ** 3, 2, 1
+    # building every point would break both bounds
+    assert len(lines) > level0_keys + winners + fronts + optimum
+    assert built["points"] <= winners + fronts + optimum
+    assert built["params"] <= level0_keys + winners + fronts + optimum
 
 
 TRAIN_WIDTH = FeaturePipeline().fit(TRAIN).encode(TRAIN).shape[1]
